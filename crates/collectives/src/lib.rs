@@ -1,7 +1,8 @@
 //! # dapple-collectives
 //!
 //! Communication: analytic cost models used by the planner/simulator, and a
-//! real multi-threaded ring all-reduce used by the CPU training engine.
+//! real multi-threaded ring all-reduce — the bit-exact reference for the
+//! CPU training engine's in-place replica reduction.
 //!
 //! The cost model covers the three patterns DAPPLE needs:
 //!
@@ -19,4 +20,4 @@ pub mod ring;
 pub use cost::{
     allreduce_us, cross_stage_us, fit_affine, p2p_us, CommCalibration, SPLIT_CONCAT_OVERHEAD_US,
 };
-pub use ring::{allreduce_mean, allreduce_sum};
+pub use ring::{allreduce_mean, allreduce_sum, chunk_bounds};

@@ -1,18 +1,28 @@
 //! A real ring all-reduce over OS threads.
 //!
-//! This is the executable counterpart of [`crate::cost::allreduce_us`]: the
-//! CPU training engine uses it to synchronize gradients across stage
-//! replicas, exactly as NCCL would across GPUs. The algorithm is the
-//! canonical two-phase ring: a reduce-scatter (each rank ends up owning the
-//! fully-reduced chunk `rank`) followed by an all-gather.
+//! This is the executable counterpart of [`crate::cost::allreduce_us`],
+//! run rank-per-thread exactly as NCCL would run it across GPUs. The
+//! algorithm is the canonical two-phase ring: a reduce-scatter (each rank
+//! ends up owning the fully-reduced chunk `rank + 1`) followed by an
+//! all-gather.
+//!
+//! It is the reference for the CPU training engine's replica sync, which
+//! runs in shared memory: the engine folds the replicas' gradient
+//! accumulators straight into its output over the same [`chunk_bounds`]
+//! in the same per-chunk order, so its gradients equal this ring's bit
+//! for bit without the threads, channels or flat copies.
 //!
 //! Buffers of any length are supported, including lengths smaller than the
 //! rank count (chunks may be empty).
 
 use crossbeam::channel::{bounded, Receiver, Sender};
 
-/// Chunk boundaries: splits `len` into `n` nearly-even ranges.
-fn chunk_bounds(len: usize, n: usize) -> Vec<std::ops::Range<usize>> {
+/// Chunk boundaries: splits `len` into `n` nearly-even ranges, the
+/// first `len % n` one element longer. Chunk `c` of the ring's result is
+/// the left fold `x_c + x_(c+1) + ... + x_(c+n-1)` (ranks mod `n`), so
+/// any reduction that walks these bounds in that order reproduces
+/// [`allreduce_sum`] bit for bit.
+pub fn chunk_bounds(len: usize, n: usize) -> Vec<std::ops::Range<usize>> {
     let base = len / n;
     let extra = len % n;
     let mut out = Vec::with_capacity(n);

@@ -79,18 +79,12 @@ impl DenseGrads {
         }
     }
 
-    /// Flattens into a single vector (for AllReduce).
+    /// Flattens into a single vector, weights then bias: the layout
+    /// that optimizer state and the replica reduction's chunks index.
     pub fn to_flat(&self) -> Vec<f32> {
         let mut v = self.dw.data.clone();
         v.extend_from_slice(&self.db);
         v
-    }
-
-    /// Restores from a flat vector produced by [`DenseGrads::to_flat`].
-    pub fn from_flat(&mut self, flat: &[f32]) {
-        let nw = self.dw.data.len();
-        self.dw.data.copy_from_slice(&flat[..nw]);
-        self.db.copy_from_slice(&flat[nw..]);
     }
 }
 
@@ -160,28 +154,13 @@ impl Dense {
         (dx, g)
     }
 
-    /// [`Dense::backward`] with the input gradient written into a
-    /// caller-provided buffer (recycled contents allowed — the `dx` kernel
-    /// stores, never accumulates). Bit-identical to `backward`.
-    pub fn backward_into(
-        &self,
-        x: &Tensor,
-        y: &Tensor,
-        dy: &mut Tensor,
-        dx: &mut Tensor,
-    ) -> DenseGrads {
-        let g = self.backward_params(x, y, dy);
-        dy.matmul_nt_into(&self.w, dx);
-        g
-    }
-
     /// Fully buffered backward: input gradient *and* parameter gradients
     /// land in caller-provided storage (`g` shaped by
     /// [`DenseGrads::zeros_like`]; recycled contents allowed — every
-    /// kernel stores, never accumulates). Bit-identical to `backward`.
-    /// This closes the last per-micro-batch allocations of the hot
-    /// backward path: `dW`/`db` previously came back as fresh tensors on
-    /// every call.
+    /// kernel stores, never accumulates), and the `dx` kernel's transpose
+    /// scratch is the caller's `pack`. Bit-identical to `backward`; with
+    /// warmed buffers it allocates nothing, which is what keeps the
+    /// pipeline's per-micro-batch backward allocation-free.
     pub fn backward_grads_into(
         &self,
         x: &Tensor,
@@ -189,9 +168,10 @@ impl Dense {
         dy: &mut Tensor,
         dx: &mut Tensor,
         g: &mut DenseGrads,
+        pack: &mut Vec<f32>,
     ) {
         self.backward_params_into(x, y, dy, g);
-        dy.matmul_nt_into(&self.w, dx);
+        dy.matmul_nt_into_with(&self.w, dx, pack);
     }
 
     /// Shared head of the backward pass: turns `dy` into `dz` in place and
@@ -295,7 +275,7 @@ mod tests {
     }
 
     #[test]
-    fn grads_flat_round_trip() {
+    fn grads_flat_layout_is_weights_then_bias() {
         let layer = Dense::new(3, 4, Activation::Identity, 1);
         let x = Tensor::from_vec(2, 3, vec![1.0; 6]);
         let y = layer.forward(&x);
@@ -303,9 +283,8 @@ mod tests {
         let (_, grads) = layer.backward(&x, &y, &mut dy);
         let flat = grads.to_flat();
         assert_eq!(flat.len(), layer.num_params());
-        let mut restored = DenseGrads::zeros_like(&layer);
-        restored.from_flat(&flat);
-        assert_eq!(restored, grads);
+        let (w, b) = flat.split_at(grads.dw.data.len());
+        assert_eq!((w, b), (&grads.dw.data[..], &grads.db[..]));
     }
 
     #[test]

@@ -91,13 +91,11 @@ impl Optimizer {
                 model.apply(grads, lr);
             }
             Optimizer::Momentum { lr, beta, velocity } => {
-                for (i, layer) in model.layers.iter_mut().enumerate() {
-                    let flat = grads[i].to_flat();
-                    let vel = &mut velocity[i];
-                    for (v, g) in vel.iter_mut().zip(&flat) {
-                        *v = *beta * *v + *g;
-                    }
-                    apply_flat(layer, vel, *lr);
+                let (lr, beta) = (*lr, *beta);
+                for ((layer, g), vel) in model.layers.iter_mut().zip(grads).zip(velocity) {
+                    let (vw, vb) = vel.split_at_mut(layer.w.data.len());
+                    momentum_update(&mut layer.w.data, &g.dw.data, vw, lr, beta);
+                    momentum_update(&mut layer.b, &g.db, vb, lr, beta);
                 }
             }
             Optimizer::Adam {
@@ -110,23 +108,20 @@ impl Optimizer {
                 v,
             } => {
                 *t += 1;
-                let bc1 = 1.0 - beta1.powi(*t as i32);
-                let bc2 = 1.0 - beta2.powi(*t as i32);
-                for (i, layer) in model.layers.iter_mut().enumerate() {
-                    let flat = grads[i].to_flat();
-                    let update: Vec<f32> = m[i]
-                        .iter_mut()
-                        .zip(v[i].iter_mut())
-                        .zip(&flat)
-                        .map(|((mi, vi), g)| {
-                            *mi = *beta1 * *mi + (1.0 - *beta1) * g;
-                            *vi = *beta2 * *vi + (1.0 - *beta2) * g * g;
-                            let mhat = *mi / bc1;
-                            let vhat = *vi / bc2;
-                            mhat / (vhat.sqrt() + *eps)
-                        })
-                        .collect();
-                    apply_flat(layer, &update, *lr);
+                let h = AdamStep {
+                    lr: *lr,
+                    beta1: *beta1,
+                    beta2: *beta2,
+                    eps: *eps,
+                    bc1: 1.0 - beta1.powi(*t as i32),
+                    bc2: 1.0 - beta2.powi(*t as i32),
+                };
+                for (((layer, g), mi), vi) in model.layers.iter_mut().zip(grads).zip(m).zip(v) {
+                    let nw = layer.w.data.len();
+                    let (mw, mb) = mi.split_at_mut(nw);
+                    let (vw, vb) = vi.split_at_mut(nw);
+                    adam_update(&mut layer.w.data, &g.dw.data, mw, vw, &h);
+                    adam_update(&mut layer.b, &g.db, mb, vb, &h);
                 }
             }
         }
@@ -142,14 +137,38 @@ fn zeros_like(model: &MlpModel) -> Vec<Vec<f32>> {
         .collect()
 }
 
-/// Applies a flat update vector (weights then bias) to a layer.
-fn apply_flat(layer: &mut crate::layer::Dense, update: &[f32], lr: f32) {
-    let nw = layer.w.data.len();
-    for (w, u) in layer.w.data.iter_mut().zip(&update[..nw]) {
-        *w -= lr * u;
+/// Heavy-ball update of one parameter segment, fused in place: per
+/// element `v = beta v + g; p -= lr v`. The state buffers keep their
+/// flat layout (weights then bias); callers pass the matching halves.
+fn momentum_update(p: &mut [f32], g: &[f32], vel: &mut [f32], lr: f32, beta: f32) {
+    for ((p, g), v) in p.iter_mut().zip(g).zip(vel) {
+        *v = beta * *v + *g;
+        *p -= lr * *v;
     }
-    for (b, u) in layer.b.iter_mut().zip(&update[nw..]) {
-        *b -= lr * u;
+}
+
+/// One Adam step's scalars, bias corrections included.
+struct AdamStep {
+    lr: f32,
+    beta1: f32,
+    beta2: f32,
+    eps: f32,
+    bc1: f32,
+    bc2: f32,
+}
+
+/// Adam update of one parameter segment, fused in place: the moments
+/// and the parameter advance element by element in one pass, with
+/// exactly the per-element expression of the textbook two-pass form
+/// (moments into an update vector, then `p -= lr u`), so the bits are
+/// the same and nothing is allocated.
+fn adam_update(p: &mut [f32], g: &[f32], m: &mut [f32], v: &mut [f32], h: &AdamStep) {
+    for (((p, g), m), v) in p.iter_mut().zip(g).zip(m).zip(v) {
+        *m = h.beta1 * *m + (1.0 - h.beta1) * g;
+        *v = h.beta2 * *v + (1.0 - h.beta2) * g * g;
+        let mhat = *m / h.bc1;
+        let vhat = *v / h.bc2;
+        *p -= h.lr * (mhat / (vhat.sqrt() + h.eps));
     }
 }
 
@@ -225,6 +244,92 @@ mod tests {
         mom.step(&mut heavy, &grads);
         mom.step(&mut heavy, &grads);
         assert!(heavy.layers[0].w.data[0] < plain.layers[0].w.data[0]);
+    }
+
+    /// The textbook two-pass form the fused updates replaced: flatten the
+    /// layer's gradient, compute the whole update vector, then apply
+    /// `p -= lr u` over weights and bias.
+    fn two_pass_step(opt: &mut Optimizer, model: &mut MlpModel, grads: &[DenseGrads]) {
+        let apply = |layer: &mut crate::layer::Dense, u: &[f32], lr: f32| {
+            let nw = layer.w.data.len();
+            for (w, u) in layer.w.data.iter_mut().zip(&u[..nw]) {
+                *w -= lr * u;
+            }
+            for (b, u) in layer.b.iter_mut().zip(&u[nw..]) {
+                *b -= lr * u;
+            }
+        };
+        match opt {
+            Optimizer::Momentum { lr, beta, velocity } => {
+                for (i, layer) in model.layers.iter_mut().enumerate() {
+                    let flat = grads[i].to_flat();
+                    for (v, g) in velocity[i].iter_mut().zip(&flat) {
+                        *v = *beta * *v + *g;
+                    }
+                    apply(layer, &velocity[i], *lr);
+                }
+            }
+            Optimizer::Adam {
+                lr,
+                beta1,
+                beta2,
+                eps,
+                t,
+                m,
+                v,
+            } => {
+                *t += 1;
+                let bc1 = 1.0 - beta1.powi(*t as i32);
+                let bc2 = 1.0 - beta2.powi(*t as i32);
+                for (i, layer) in model.layers.iter_mut().enumerate() {
+                    let flat = grads[i].to_flat();
+                    let update: Vec<f32> = m[i]
+                        .iter_mut()
+                        .zip(v[i].iter_mut())
+                        .zip(&flat)
+                        .map(|((mi, vi), g)| {
+                            *mi = *beta1 * *mi + (1.0 - *beta1) * g;
+                            *vi = *beta2 * *vi + (1.0 - *beta2) * g * g;
+                            let mhat = *mi / bc1;
+                            let vhat = *vi / bc2;
+                            mhat / (vhat.sqrt() + *eps)
+                        })
+                        .collect();
+                    apply(layer, &update, *lr);
+                }
+            }
+            Optimizer::Sgd { .. } => unreachable!("SGD has no two-pass form"),
+        }
+    }
+
+    /// Fused in-place momentum and Adam equal the two-pass formula bit
+    /// for bit, weights and optimizer state, over several steps of real
+    /// gradients.
+    #[test]
+    fn fused_updates_match_two_pass_bit_for_bit() {
+        let (x, t) = data::regression_batch(16, 4, 3, 5);
+        let base = MlpModel::new(&[4, 9, 7, 3], 2);
+        for mk in [
+            (|m: &MlpModel| Optimizer::momentum(0.05, 0.9, m)) as fn(&MlpModel) -> Optimizer,
+            |m: &MlpModel| Optimizer::adam(0.01, m),
+        ] {
+            let (mut fused_model, mut ref_model) = (base.clone(), base.clone());
+            let (mut fused, mut reference) = (mk(&base), mk(&base));
+            for _ in 0..6 {
+                let (_, grads) = fused_model.reference_grads(&x, &t, 2);
+                fused.step(&mut fused_model, &grads);
+                two_pass_step(&mut reference, &mut ref_model, &grads);
+                let bits = |m: &MlpModel| -> Vec<u32> {
+                    m.layers
+                        .iter()
+                        .flat_map(|l| l.w.data.iter().chain(&l.b))
+                        .map(|v| v.to_bits())
+                        .collect()
+                };
+                assert_eq!(bits(&fused_model), bits(&ref_model));
+                assert_eq!(fused, reference, "optimizer state diverged");
+            }
+        }
     }
 
     #[test]

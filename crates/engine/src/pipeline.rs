@@ -7,9 +7,26 @@
 //! then the backward drain. Activations and activation-gradients flow as
 //! real tensors; replicated stages split/concat micro-batches by rows
 //! (Fig. 8a / Fig. 9); per-stage gradients accumulate across micro-batches
-//! and are synchronized with the ring AllReduce before a single SGD apply
+//! and are synchronized once per step before a single optimizer apply
 //! (Fig. 10) — synchronous semantics, bit-compatible with full-batch
 //! training up to float reassociation.
+//!
+//! # The gradient path
+//!
+//! Each stage replica accumulates into a gradient slot the trainer owns
+//! (next to its buffer pool), zeroed in place at step start, so steps
+//! allocate no parameter-sized storage once warm. Replica sync is a
+//! shared-memory fold of the replicas' accumulators straight into the
+//! step's output gradients: chunk `c` of the stage's concatenated
+//! per-layer `(dW, db)` vector, over the ring's
+//! [`dapple_collectives::chunk_bounds`], is the left fold
+//! `x_c + x_(c+1) + ... + x_(c+r-1)` — the exact per-chunk order of
+//! [`dapple_collectives::allreduce_sum`], so the result is the ring's bit
+//! for bit, without its threads, channels or flat copies. An unreplicated
+//! stage's accumulator is handed out by swap, with no copy at all. What
+//! the caller gives back through [`PipelineTrainer::recycle_grads`]
+//! becomes the next step's storage: the unreplicated stages'
+//! accumulators and the replicated stages' reduction targets.
 //!
 //! # Failure semantics
 //!
@@ -128,11 +145,8 @@ struct Msg {
     data: Tensor,
 }
 
-/// Per-worker output.
+/// Per-worker output (its gradients stay in its [`WorkerSlot`]).
 struct WorkerOut {
-    stage: usize,
-    replica: usize,
-    grads: Vec<DenseGrads>,
     loss: f32,
     /// Micro-batches dropped under [`NanPolicy::SkipMicroBatch`].
     skipped: usize,
@@ -151,7 +165,10 @@ pub struct StepOutcome {
     /// Total loss over the global batch (minus any skipped micro-batches).
     pub loss: f32,
     /// Per-layer gradients, directly comparable with
-    /// [`MlpModel::reference_grads`].
+    /// [`MlpModel::reference_grads`]. A caller that hands every step's
+    /// gradients back through [`PipelineTrainer::recycle_grads`] makes
+    /// steps that allocate nothing parameter-sized; otherwise the next
+    /// step allocates fresh storage.
     pub grads: Vec<DenseGrads>,
     /// Micro-batch contributions dropped by [`NanPolicy::SkipMicroBatch`],
     /// summed over stage replicas (each replica that detects the poison
@@ -178,13 +195,17 @@ pub struct PipelineTrainer {
     /// The master copy of the model (updated after every step).
     pub model: MlpModel,
     cfg: EngineConfig,
-    /// Per-worker boundary-buffer pools, one slot per stage replica in
-    /// spawn order. Owned here — not by the per-step workers — so the
-    /// free lists survive across steps: after the first step every
-    /// boundary take is a hit and steps allocate no boundary buffers at
-    /// all. (The old per-step pools re-paid the warmup misses on every
-    /// single step, which is why buffer reuse stopped being a win.)
-    pools: Vec<Mutex<TensorPool>>,
+    /// Per-worker state, one slot per stage replica in spawn order
+    /// (stage-major, replica-minor): buffer pool, gradient accumulator,
+    /// contribution scratch, transpose scratch. Owned here — not by the
+    /// per-step worker threads — so all of it survives across steps:
+    /// after the first step every boundary take is a hit and no worker
+    /// allocates gradient or kernel scratch.
+    slots: Vec<Mutex<WorkerSlot>>,
+    /// Storage for the next step's output gradients of the replicated
+    /// stages, given back by the caller through
+    /// [`PipelineTrainer::recycle_grads`].
+    spare: Mutex<Vec<DenseGrads>>,
 }
 
 impl PipelineTrainer {
@@ -226,15 +247,43 @@ impl PipelineTrainer {
             ));
         }
         let workers: usize = cfg.replication.iter().sum();
-        let pools = (0..workers)
-            .map(|_| Mutex::new(TensorPool::new(cfg.buffer_reuse)))
+        let slots = (0..workers)
+            .map(|_| Mutex::new(WorkerSlot::new(cfg.buffer_reuse)))
             .collect();
-        Ok(PipelineTrainer { model, cfg, pools })
+        Ok(PipelineTrainer {
+            model,
+            cfg,
+            slots,
+            spare: Mutex::new(Vec::new()),
+        })
     }
 
     /// Config accessor.
     pub fn config(&self) -> &EngineConfig {
         &self.cfg
+    }
+
+    /// Hands spent output gradients (a previous [`StepOutcome::grads`])
+    /// back to the trainer as storage for the next step. An unreplicated
+    /// stage's layers go straight back to its worker as the accumulator
+    /// it zeroes in place (the step handed that accumulator out by swap,
+    /// so the stage keeps one gradient set, not two); a replicated
+    /// stage's layers are what its replicas are next reduced into.
+    /// Entries of the wrong shape are replaced when used, so any set is
+    /// safe to give back.
+    pub fn recycle_grads(&self, mut grads: Vec<DenseGrads>) {
+        if grads.len() == self.model.num_layers() {
+            let mut first = 0usize; // slot index of the stage's replica 0
+            for (bounds, &r) in self.cfg.stage_bounds.iter().zip(&self.cfg.replication) {
+                if r == 1 {
+                    let acc = &mut lock(&self.slots[first]).acc;
+                    acc.resize_with(bounds.len(), empty_grads);
+                    acc.swap_with_slice(&mut grads[bounds.clone()]);
+                }
+                first += r;
+            }
+        }
+        *lock(&self.spare) = grads;
     }
 
     /// Computes full-batch gradients via the pipeline, without updating
@@ -393,7 +442,7 @@ impl PipelineTrainer {
                         faults: faults.for_worker(i, p),
                         nan_policy: self.cfg.nan_policy,
                         recv_timeout: self.cfg.recv_timeout,
-                        pool: &self.pools[handles.len()],
+                        slot: &self.slots[handles.len()],
                         tracer,
                     };
                     handles.push(scope.spawn(move || {
@@ -452,57 +501,47 @@ impl PipelineTrainer {
         if let Some(err) = most_severe_error(&results) {
             return (Err(err), trace);
         }
-        let mut outs: Vec<WorkerOut> = results
+        let outs: Vec<WorkerOut> = results
             .into_iter()
             .map(|r| r.expect("no errors after aggregation"))
             .collect();
 
-        // Gradient sync: ring all-reduce across each stage's replicas
-        // (Fig. 10), then assemble per-layer global gradients.
-        let mut loss = 0.0f32;
+        // Gradient sync (Fig. 10): each stage's replica accumulators are
+        // folded into the output in the ring's per-chunk order, or, for
+        // an unreplicated stage, swapped out whole.
         let skipped_micro_batches = outs.iter().map(|o| o.skipped).sum();
         let zeroed_values = outs.iter().map(|o| o.zeroed).sum();
         let pool_hits = outs.iter().map(|o| o.pool_hits).sum();
         let pool_misses = outs.iter().map(|o| o.pool_misses).sum();
-        let mut global: Vec<Option<DenseGrads>> =
-            (0..self.model.num_layers()).map(|_| None).collect();
+        let mut grads = std::mem::take(&mut *lock(&self.spare));
+        grads.resize_with(self.model.num_layers(), empty_grads);
+        let mut loss = 0.0f32;
+        let mut first = 0usize; // slot index of the stage's replica 0
         for i in 0..s {
-            let mut replicas: Vec<&mut WorkerOut> =
-                outs.iter_mut().filter(|o| o.stage == i).collect();
-            replicas.sort_by_key(|o| o.replica);
-            loss += replicas.iter().map(|o| o.loss).sum::<f32>();
-            let mut flats: Vec<Vec<f32>> = replicas
-                .iter()
-                .map(|o| {
-                    o.grads
-                        .iter()
-                        .flat_map(|g| g.to_flat())
-                        .collect::<Vec<f32>>()
-                })
-                .collect();
-            // Time the ring AllReduce only when it actually synchronizes
-            // replicas — mirrors the simulator, which emits an AllReduce
-            // task only for replicated stages.
-            let ar_t0 = (trace.is_some() && flats.len() > 1).then(Instant::now);
-            dapple_collectives::allreduce_sum(&mut flats);
-            if let (Some(t0), Some(tr)) = (ar_t0, trace.as_mut()) {
-                let bytes = (flats[0].len() * std::mem::size_of::<f32>()) as u64;
-                tr.record_coord(Some(i), SpanKind::AllReduce, bytes, t0, Instant::now());
+            let r = self.cfg.replication[i];
+            let bounds = self.cfg.stage_bounds[i].clone();
+            loss += outs[first..first + r].iter().map(|o| o.loss).sum::<f32>();
+            let out = &mut grads[bounds.clone()];
+            if r == 1 {
+                out.swap_with_slice(&mut lock(&self.slots[first]).acc);
+            } else {
+                for (g, layer) in out.iter_mut().zip(&self.model.layers[bounds]) {
+                    fit_grads(g, layer, false);
+                }
+                // Timed only where replicas are actually synchronized —
+                // mirrors the simulator, which emits an AllReduce task
+                // only for replicated stages.
+                let t0 = trace.is_some().then(Instant::now);
+                let slots: Vec<_> = self.slots[first..first + r].iter().map(lock).collect();
+                let accs: Vec<&[DenseGrads]> = slots.iter().map(|g| &g.acc[..]).collect();
+                let len = reduce_replicas_into(&accs, out);
+                if let (Some(t0), Some(tr)) = (t0, trace.as_mut()) {
+                    let bytes = (len * std::mem::size_of::<f32>()) as u64;
+                    tr.record_coord(Some(i), SpanKind::AllReduce, bytes, t0, Instant::now());
+                }
             }
-            // Unflatten replica 0's reduced gradients into layer slots.
-            let mut offset = 0usize;
-            for layer_idx in self.cfg.stage_bounds[i].clone() {
-                let mut g = DenseGrads::zeros_like(&self.model.layers[layer_idx]);
-                let len = g.to_flat().len();
-                g.from_flat(&flats[0][offset..offset + len]);
-                offset += len;
-                global[layer_idx] = Some(g);
-            }
+            first += r;
         }
-        let grads = global
-            .into_iter()
-            .map(|g| g.expect("every layer covered"))
-            .collect();
         (
             Ok(StepOutcome {
                 loss,
@@ -521,6 +560,7 @@ impl PipelineTrainer {
     pub fn train_step(&mut self, x: &Tensor, target: &Tensor) -> Result<StepStats> {
         let (loss, grads) = self.step_grads(x, target)?;
         self.model.apply(&grads, self.cfg.lr);
+        self.recycle_grads(grads);
         Ok(StepStats {
             loss,
             samples: x.rows,
@@ -542,6 +582,7 @@ impl PipelineTrainer {
         if let Some(tr) = trace.as_mut() {
             tr.record_coord(None, SpanKind::OptimStep, 0, t0, Instant::now());
         }
+        self.recycle_grads(out.grads);
         Ok((
             StepStats {
                 loss: out.loss,
@@ -561,6 +602,7 @@ impl PipelineTrainer {
     ) -> Result<StepStats> {
         let (loss, grads) = self.step_grads(x, target)?;
         optimizer.step(&mut self.model, &grads);
+        self.recycle_grads(grads);
         Ok(StepStats {
             loss,
             samples: x.rows,
@@ -633,11 +675,11 @@ struct Worker<'a> {
     faults: HashMap<usize, FaultKind>,
     nan_policy: NanPolicy,
     recv_timeout: Duration,
-    /// This worker's persistent boundary-buffer pool slot (owned by the
-    /// trainer so free lists survive across steps). Each worker locks
+    /// This worker's persistent slot (owned by the trainer so pool,
+    /// gradients and scratch survive across steps). Each worker locks
     /// only its own slot for the duration of the step — uncontended by
     /// construction.
-    pool: &'a Mutex<TensorPool>,
+    slot: &'a Mutex<WorkerSlot>,
     /// Span recorder; `None` keeps the hot path timestamp-free.
     tracer: Option<SpanWriter>,
 }
@@ -792,12 +834,23 @@ impl Worker<'_> {
     }
 
     fn run(mut self) -> Result<WorkerOut> {
-        let mut grads: Vec<DenseGrads> = self.layers.iter().map(DenseGrads::zeros_like).collect();
-        // Per-micro-batch gradient scratch, allocated once per run and
-        // overwritten by every backward — dW/db no longer come back as
-        // fresh tensors per micro-batch (the steady-state allocation
-        // hole the pool never covered).
-        let mut contrib: Vec<DenseGrads> = self.layers.iter().map(DenseGrads::zeros_like).collect();
+        // Free lists are always valid and the gradients are re-shaped and
+        // zeroed right here, so a slot poisoned by a worker that panicked
+        // last step is safe to reuse.
+        let mut slot = lock(self.slot);
+        let WorkerSlot {
+            pool,
+            acc,
+            contrib,
+            pack,
+        } = &mut *slot;
+        pool.begin_step();
+        // The step's accumulator starts from zero, in place. `contrib`
+        // is one micro-batch's gradient, overwritten by every backward
+        // and kept apart so a poisoned one can be inspected — and
+        // skipped or repaired — before it contaminates the accumulator.
+        shape_grads(acc, self.layers, true);
+        shape_grads(contrib, self.layers, false);
         // Spare spines for the per-layer forward chains: each backward
         // drains its chain's tensors into the pool and parks the empty
         // Vec here for the next forward.
@@ -805,15 +858,6 @@ impl Worker<'_> {
         let mut loss = 0.0f32;
         let mut skipped = 0usize;
         let mut zeroed = 0usize;
-        // A worker that panicked mid-step (injected faults) poisons its
-        // pool mutex; the pool's free lists are always structurally
-        // valid, so recovery just clears the poison and keeps going.
-        let mut pool_guard = self
-            .pool
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        let pool = &mut *pool_guard;
-        pool.begin_step();
         // At most one flight per in-progress micro-batch; sizing the map
         // up front keeps rehashing out of the step loop.
         let mut flights: HashMap<usize, Flight> = HashMap::with_capacity(self.script.len() / 2 + 1);
@@ -974,12 +1018,8 @@ impl Worker<'_> {
                     if fault == Some(FaultKind::NanGradient) || poisoned.contains(&u) {
                         dy.data.fill(f32::NAN);
                     }
-                    // This micro-batch's contribution stays separate (in
-                    // the run-long scratch) so a poisoned one can be
-                    // inspected — and skipped or repaired — before it
-                    // contaminates the accumulator.
                     let (dx, spent_gy) =
-                        backward_stage(self.layers, &input, &ys, dy, &mut contrib, pool);
+                        backward_stage(self.layers, &input, &ys, dy, contrib, pack, pool);
                     // The last stage folds its loss computation into the
                     // backward span; upstream stages start at receipt.
                     self.rec(
@@ -1000,9 +1040,9 @@ impl Worker<'_> {
                         pool.put(y);
                     }
                     chain_spares.push(ys);
-                    let bad = count_non_finite(&contrib) + usize::from(!micro_loss.is_finite());
+                    let bad = count_non_finite(contrib) + usize::from(!micro_loss.is_finite());
                     if bad == 0 {
-                        merge_contribution(&mut grads, &contrib);
+                        merge_contribution(acc, contrib);
                         loss += micro_loss;
                     } else {
                         match self.nan_policy {
@@ -1015,8 +1055,8 @@ impl Worker<'_> {
                             }
                             NanPolicy::SkipMicroBatch => skipped += 1,
                             NanPolicy::ZeroAndWarn => {
-                                zeroed += zero_non_finite(&mut contrib);
-                                merge_contribution(&mut grads, &contrib);
+                                zeroed += zero_non_finite(contrib);
+                                merge_contribution(acc, contrib);
                                 if micro_loss.is_finite() {
                                     loss += micro_loss;
                                 } else {
@@ -1051,9 +1091,6 @@ impl Worker<'_> {
         }
         self.shutdown(&buf_f, &buf_b)?;
         Ok(WorkerOut {
-            stage: self.stage,
-            replica: self.replica,
-            grads,
             loss,
             skipped,
             zeroed,
@@ -1350,10 +1387,11 @@ fn forward_stage(layers: &[Dense], input: &Tensor, ys: &mut Vec<Tensor>, pool: &
 
 /// Backward through a stage's layers.
 ///
-/// Per-layer parameter gradients are written into `contrib` (run-long
-/// scratch, fully overwritten — dW/db allocate nothing per call).
-/// Returns `(dx, spent_gy)`, where `spent_gy` is the (destroyed) buffer
-/// `gy` arrived in, handed back so the caller can recycle it — it has
+/// Per-layer parameter gradients are written into `contrib` (slot
+/// scratch, fully overwritten — dW/db allocate nothing per call), and
+/// `pack` is the `dx` kernels' transpose scratch. Returns
+/// `(dx, spent_gy)`, where `spent_gy` is the (destroyed) buffer `gy`
+/// arrived in, handed back so the caller can recycle it — it has
 /// exactly the shape of this worker's outgoing boundary messages.
 fn backward_stage(
     layers: &[Dense],
@@ -1361,6 +1399,7 @@ fn backward_stage(
     ys: &[Tensor],
     gy: Tensor,
     contrib: &mut [DenseGrads],
+    pack: &mut Vec<f32>,
     pool: &mut TensorPool,
 ) -> (Tensor, Tensor) {
     assert_eq!(ys.len(), layers.len(), "output chain length");
@@ -1377,7 +1416,7 @@ fn backward_stage(
         } else {
             Tensor::zeros(cur.rows, layers[i].in_dim())
         };
-        layers[i].backward_grads_into(x, &ys[i], &mut cur, &mut dx, &mut contrib[i]);
+        layers[i].backward_grads_into(x, &ys[i], &mut cur, &mut dx, &mut contrib[i], pack);
         let used = std::mem::replace(&mut cur, dx);
         if spent.is_none() {
             // The buffer `gy` arrived in: handed back to the caller, whose
@@ -1389,6 +1428,119 @@ fn backward_stage(
         }
     }
     (cur, spent.expect("non-empty stage"))
+}
+
+/// Everything one stage-replica worker keeps across steps; see
+/// [`PipelineTrainer`]'s `slots`.
+struct WorkerSlot {
+    /// Boundary and compute buffer free lists.
+    pool: TensorPool,
+    /// The step's gradient accumulator over micro-batches, shaped like
+    /// the stage's layers and zeroed in place at step start.
+    acc: Vec<DenseGrads>,
+    /// One micro-batch's gradient contribution (overwritten per backward).
+    contrib: Vec<DenseGrads>,
+    /// Transpose scratch of the backward `dx = dz W^T` kernels.
+    pack: Vec<f32>,
+}
+
+impl WorkerSlot {
+    /// An empty slot; the first step shapes its gradient buffers.
+    fn new(buffer_reuse: bool) -> Self {
+        WorkerSlot {
+            pool: TensorPool::new(buffer_reuse),
+            acc: Vec::new(),
+            contrib: Vec::new(),
+            pack: Vec::new(),
+        }
+    }
+}
+
+/// Locks a trainer-owned mutex, clearing poison: a worker that panics
+/// (an injected fault) poisons its slot, and the next step repairs the
+/// slot before using it; the spare gradients are only ever replaced
+/// whole.
+fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
+/// A placeholder gradient entry: no storage, shaped like no layer.
+fn empty_grads() -> DenseGrads {
+    DenseGrads {
+        dw: Tensor::zeros(0, 0),
+        db: Vec::new(),
+    }
+}
+
+/// Makes `g` gradients shaped like `layer`: reused when it already has
+/// that shape (zeroed in place when `zero` is set), allocated otherwise —
+/// on the first step, or for storage handed out and not given back.
+fn fit_grads(g: &mut DenseGrads, layer: &Dense, zero: bool) {
+    if (g.dw.rows, g.dw.cols, g.db.len()) != (layer.w.rows, layer.w.cols, layer.b.len()) {
+        *g = DenseGrads::zeros_like(layer);
+    } else if zero {
+        g.dw.data.fill(0.0);
+        g.db.fill(0.0);
+    }
+}
+
+/// [`fit_grads`] over a whole stage.
+fn shape_grads(grads: &mut Vec<DenseGrads>, layers: &[Dense], zero: bool) {
+    grads.resize_with(layers.len(), empty_grads);
+    for (g, layer) in grads.iter_mut().zip(layers) {
+        fit_grads(g, layer, zero);
+    }
+}
+
+/// Sums the replicas' accumulators `accs[q]` (each shaped like `out`)
+/// into `out`, bit-identical to [`dapple_collectives::allreduce_sum`] over
+/// their flattened copies; returns the flattened length.
+///
+/// The flat vector is the layers' `dW` then `db`, layer after layer (the
+/// layout of [`DenseGrads::to_flat`], concatenated). Every element of
+/// ring chunk `c` is the ring's left fold `x_c + x_(c+1) + ... +
+/// x_(c+r-1)` (replicas mod `r`), each addition spelled `x_q + partial`
+/// exactly as the ring's receiving rank computes it. Chunks may straddle
+/// segment edges and be empty (fewer elements than replicas).
+fn reduce_replicas_into(accs: &[&[DenseGrads]], out: &mut [DenseGrads]) -> usize {
+    let r = accs.len();
+    let len: usize = out.iter().map(|g| g.dw.data.len() + g.db.len()).sum();
+    let chunks = dapple_collectives::chunk_bounds(len, r);
+    let mut offset = 0usize;
+    for (l, g) in out.iter_mut().enumerate() {
+        for (is_bias, dst) in [(false, &mut g.dw.data[..]), (true, &mut g.db[..])] {
+            let seg = offset..offset + dst.len();
+            for (c, chunk) in chunks.iter().enumerate() {
+                let (lo, hi) = (chunk.start.max(seg.start), chunk.end.min(seg.end));
+                if lo >= hi {
+                    continue;
+                }
+                let part = lo - offset..hi - offset;
+                let src = |q: usize| {
+                    let g = &accs[(c + q) % r][l];
+                    if is_bias {
+                        &g.db[part.clone()]
+                    } else {
+                        &g.dw.data[part.clone()]
+                    }
+                };
+                let d = &mut dst[part.clone()];
+                d.copy_from_slice(src(0));
+                for q in 1..r {
+                    for (d, x) in d.iter_mut().zip(src(q)) {
+                        // The ring's operand order: NaN payloads propagate
+                        // from the first operand.
+                        #[allow(clippy::assign_op_pattern)]
+                        {
+                            *d = *x + *d;
+                        }
+                    }
+                }
+            }
+            offset = seg.end;
+        }
+    }
+    len
 }
 
 /// Adds a micro-batch's contribution into the running accumulator.
@@ -1800,6 +1952,90 @@ mod tests {
         let trainer = PipelineTrainer::new(model, cfg).unwrap();
         let (_, grads) = trainer.step_grads(&x, &t).unwrap();
         grads_close(&grads, &ref_grads, 2e-4);
+    }
+
+    /// The replica fold equals the reference ring AllReduce over the
+    /// flattened accumulators bit for bit, for 2..=5 replicas: with fewer
+    /// elements than replicas (empty chunks), and with chunk bounds
+    /// falling inside weight and bias segments and on their edges.
+    #[test]
+    fn replica_fold_matches_ring_allreduce_bit_for_bit() {
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            // Mixed magnitudes, so a changed summation order shows.
+            ((state >> 40) as f32 / (1u64 << 24) as f32 - 0.5) * (1 << (state % 13)) as f32
+        };
+        // Layer (in, out) shapes: each contributes in*out weights then
+        // out biases to the flat vector.
+        let layouts: [&[(usize, usize)]; 5] = [
+            &[(1, 1)],                 // 2 elements: below r for r > 2
+            &[(1, 2), (1, 1)],         // 5 elements
+            &[(3, 4), (4, 1), (1, 3)], // 27 elements, many segment edges
+            &[(7, 5), (5, 5)],
+            &[(16, 9), (9, 3)],
+        ];
+        for r in 2..=5usize {
+            for layout in layouts {
+                let grads = |next: &mut dyn FnMut() -> f32| -> Vec<DenseGrads> {
+                    layout
+                        .iter()
+                        .map(|&(i, o)| DenseGrads {
+                            dw: Tensor::from_vec(i, o, (0..i * o).map(|_| next()).collect()),
+                            db: (0..o).map(|_| next()).collect(),
+                        })
+                        .collect()
+                };
+                let accs: Vec<Vec<DenseGrads>> = (0..r).map(|_| grads(&mut next)).collect();
+                let mut flats: Vec<Vec<f32>> = accs
+                    .iter()
+                    .map(|a| a.iter().flat_map(DenseGrads::to_flat).collect())
+                    .collect();
+                dapple_collectives::allreduce_sum(&mut flats);
+                // Start from garbage: the fold must overwrite every value.
+                let mut out = grads(&mut next);
+                let views: Vec<&[DenseGrads]> = accs.iter().map(|a| &a[..]).collect();
+                let len = reduce_replicas_into(&views, &mut out);
+                let got: Vec<u32> = out
+                    .iter()
+                    .flat_map(DenseGrads::to_flat)
+                    .map(f32::to_bits)
+                    .collect();
+                let want: Vec<u32> = flats[0].iter().map(|v| v.to_bits()).collect();
+                assert_eq!(len, want.len());
+                assert_eq!(got, want, "r={r} layout={layout:?}");
+            }
+        }
+    }
+
+    /// Output storage handed back through `recycle_grads` changes no
+    /// bits: swapped (unreplicated) and folded (replicated) stages give
+    /// the same gradients step after step as on a fresh first step.
+    #[test]
+    fn recycled_steps_are_bit_identical() {
+        let (x, t) = data::regression_batch(24, 5, 3, 4);
+        for replication in [vec![3, 2], vec![1, 3], vec![2, 1]] {
+            let cfg = EngineConfig {
+                stage_bounds: vec![0..3, 3..6],
+                replication,
+                ..EngineConfig::straight(vec![], 2, 0.1)
+            };
+            let trainer = PipelineTrainer::new(model6(), cfg).unwrap();
+            let (_, first) = trainer.step_grads(&x, &t).unwrap();
+            let bits = |g: &[DenseGrads]| -> Vec<u32> {
+                g.iter()
+                    .flat_map(DenseGrads::to_flat)
+                    .map(f32::to_bits)
+                    .collect()
+            };
+            for _ in 0..3 {
+                let (_, grads) = trainer.step_grads(&x, &t).unwrap();
+                assert_eq!(bits(&grads), bits(&first));
+                trainer.recycle_grads(grads);
+            }
+        }
     }
 
     #[test]

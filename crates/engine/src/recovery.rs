@@ -8,13 +8,16 @@
 //! closes the loop that fault *injection* (PR 1) opened:
 //!
 //! * [`TrainLoop`] drives a [`PipelineTrainer`] + [`Optimizer`] over a
-//!   deterministic [`DataStream`], and makes every step **transactional**:
-//!   model weights, optimizer state, the step counter and the data cursor
-//!   are snapshotted into reusable buffers before the step and restored
-//!   bit-exactly if anything fails — so a step that dies mid-flight
-//!   (including after the gradient AllReduce, in the optimizer apply
-//!   path) leaves no trace. Snapshots go through `clone_from`, so the
-//!   no-fault steady state allocates nothing for them after warmup.
+//!   deterministic [`DataStream`], and makes every step **transactional**
+//!   without copying any state: every failure the pipeline reports
+//!   happens while it computes gradients against a shared borrow of the
+//!   model, before the optimizer applies, so a failed step has touched
+//!   neither weights nor optimizer state. Rollback restores just the
+//!   step counter and the data cursor (a retry re-reads the same batch),
+//!   and the replayed step is bit-identical to one that never failed.
+//!   The spent gradients go back to the trainer as the next step's
+//!   output storage, so the no-fault steady state allocates nothing
+//!   parameter-sized.
 //! * [`Supervisor`] wraps the loop with a [`RetryPolicy`]: bounded
 //!   attempts, deterministic exponential backoff in **virtual time**
 //!   (recorded, never slept — tests stay fast and reproducible), and
@@ -114,47 +117,6 @@ impl DataStream {
     }
 }
 
-/// Reusable pre-step snapshot: capture before, restore on failure.
-/// All copies go through `clone_from`, which reuses the existing
-/// allocations — after the first capture the transaction machinery
-/// performs no heap allocation on the no-fault path.
-#[derive(Debug)]
-struct TxSnapshot {
-    model: MlpModel,
-    optimizer: Optimizer,
-    step: u64,
-    cursor: u64,
-}
-
-impl TxSnapshot {
-    fn capture_into(slot: &mut Option<TxSnapshot>, loop_: &TrainLoopParts<'_>) {
-        match slot {
-            Some(tx) => {
-                tx.model.clone_from(loop_.model);
-                tx.optimizer.clone_from(loop_.optimizer);
-                tx.step = loop_.step;
-                tx.cursor = loop_.cursor;
-            }
-            None => {
-                *slot = Some(TxSnapshot {
-                    model: loop_.model.clone(),
-                    optimizer: loop_.optimizer.clone(),
-                    step: loop_.step,
-                    cursor: loop_.cursor,
-                });
-            }
-        }
-    }
-}
-
-/// Borrowed view of the mutable training state, for snapshotting.
-struct TrainLoopParts<'a> {
-    model: &'a MlpModel,
-    optimizer: &'a Optimizer,
-    step: u64,
-    cursor: u64,
-}
-
 /// A training loop with transactional steps and full-state
 /// checkpointing. See the module docs for the recovery story.
 pub struct TrainLoop {
@@ -162,7 +124,6 @@ pub struct TrainLoop {
     optimizer: Optimizer,
     data: DataStream,
     step: u64,
-    tx: Option<TxSnapshot>,
     /// Wall-clock cost of the most recent rollback, ns.
     last_rollback_ns: u64,
     /// Trace of the most recent *successful* step (tracing on only).
@@ -204,7 +165,6 @@ impl TrainLoop {
             optimizer,
             data: stream,
             step: 0,
-            tx: None,
             last_rollback_ns: 0,
             last_trace: None,
             recorder: None,
@@ -364,18 +324,13 @@ impl TrainLoop {
     ///
     /// All-or-nothing: on success the model, optimizer, step counter and
     /// data cursor advance together; on *any* failure every one of them
-    /// is restored bit-exactly to its pre-step value (so a retry re-reads
-    /// the same batch), and the error is returned untouched.
+    /// is left at its pre-step value (so a retry re-reads the same
+    /// batch), and the error is returned untouched. Only the data cursor
+    /// needs restoring: the pipeline computes gradients against a shared
+    /// borrow of the model, and the optimizer applies — and the step
+    /// counter advances — only once the gradients are in.
     pub fn try_step(&mut self, faults: &FaultPlan) -> Result<StepStats> {
-        TxSnapshot::capture_into(
-            &mut self.tx,
-            &TrainLoopParts {
-                model: &self.trainer.model,
-                optimizer: &self.optimizer,
-                step: self.step,
-                cursor: self.data.cursor,
-            },
-        );
+        let (step, cursor) = (self.step, self.data.cursor);
         let wall_t0 = self.recorder.as_ref().map(|_| Instant::now());
         let (x, t) = self.data.next_batch();
         let (result, trace) = self.trainer.step_with_trace(&x, &t, faults);
@@ -399,6 +354,8 @@ impl TrainLoop {
                         metrics.as_ref(),
                     );
                 }
+                // The spent gradients are the next step's output storage.
+                self.trainer.recycle_grads(out.grads);
                 Ok(StepStats {
                     loss: out.loss,
                     samples: x.rows,
@@ -406,22 +363,14 @@ impl TrainLoop {
             }
             Err(e) => {
                 let t0 = Instant::now();
-                self.rollback();
+                self.step = step;
+                self.data.cursor = cursor;
                 self.last_rollback_ns = t0.elapsed().as_nanos() as u64;
                 self.pending_recovery.retries += 1;
                 self.pending_recovery.rollback_ns += self.last_rollback_ns;
                 Err(e)
             }
         }
-    }
-
-    /// Restores the pre-step snapshot (model, optimizer, counters).
-    fn rollback(&mut self) {
-        let tx = self.tx.as_ref().expect("rollback without capture");
-        self.trainer.model.clone_from(&tx.model);
-        self.optimizer.clone_from(&tx.optimizer);
-        self.step = tx.step;
-        self.data.cursor = tx.cursor;
     }
 
     /// Runs `steps` fault-free transactional steps; returns the losses.

@@ -27,8 +27,8 @@
 //! `transpose().matmul(b)` and `matmul_nt(b)` is bit-identical to
 //! `matmul(b.transpose())` — the transpose-free variants change memory
 //! traffic, never bits. (`matmul_nt` earns its fast path by packing a
-//! transposed copy of `rhs` into a reused thread-local scratch and
-//! running the plain kernel; packing is layout, not arithmetic.)
+//! transposed copy of `rhs` into a scratch buffer and running the plain
+//! kernel; packing is layout, not arithmetic.)
 //!
 //! Parallelism splits rows into contiguous bands; each output element is
 //! computed by exactly one thread with the order above, so banding (and
@@ -331,13 +331,6 @@ fn tn_band(a: &[f32], n: usize, i0: usize, b: &[f32], out: &mut [f32], k: usize,
     }
 }
 
-thread_local! {
-    /// Scratch for `matmul_nt`'s packed `rhs^T` copy. Reused across
-    /// calls (grow-only), so the steady-state backward pass stays
-    /// allocation-free; contents are fully overwritten before use.
-    static NT_PACK: std::cell::RefCell<Vec<f32>> = const { std::cell::RefCell::new(Vec::new()) };
-}
-
 /// Transposes `src` (`rows x cols`, row-major) into `dst[..cols * rows]`
 /// (`cols x rows`), growing `dst` as needed. Blocked so both the read
 /// and write sides stay within a few cache lines per pass; every element
@@ -605,9 +598,8 @@ impl Tensor {
     /// where `rhs` is `m x k`.
     ///
     /// Bit-identical to `self.matmul(&rhs.transpose())` — same
-    /// ascending fused chain per element — without allocating the
-    /// transposed copy: `rhs^T` is packed into a reused thread-local
-    /// scratch and fed to the plain matmul kernel. Computing NT
+    /// ascending fused chain per element: `rhs^T` is packed into a
+    /// scratch buffer and fed to the plain matmul kernel. Computing NT
     /// directly (both operands row-major, reducing along the SIMD axis)
     /// re-streams all of `rhs` for every pair of output rows, which is
     /// memory-bound ~4x slower than packing once; the pack is O(m·k)
@@ -617,25 +609,34 @@ impl Tensor {
         assert_eq!(self.cols, rhs.cols, "matmul_nt inner dims");
         let (n, m) = (self.rows, rhs.rows);
         let mut out = vec![0.0f32; n * m];
-        self.matmul_nt_store(rhs, &mut out);
+        self.matmul_nt_store(rhs, &mut out, &mut Vec::new());
         Tensor::from_vec(n, m, out)
     }
 
     /// [`Tensor::matmul_nt`] into a caller-provided buffer. The kernel
-    /// stores (never accumulates), so recycled contents need no zeroing —
-    /// a pooled buffer skips both the allocation and the memset.
+    /// stores (never accumulates), so recycled contents need no zeroing.
+    /// The transpose scratch is allocated per call; a hot loop keeps its
+    /// own in [`Tensor::matmul_nt_into_with`].
     pub fn matmul_nt_into(&self, rhs: &Tensor, out: &mut Tensor) {
+        self.matmul_nt_into_with(rhs, out, &mut Vec::new());
+    }
+
+    /// [`Tensor::matmul_nt_into`] with a caller-owned transpose scratch
+    /// `pack` (grow-only, contents arbitrary). Once `pack` has grown to
+    /// the largest `rhs`, calls allocate nothing: this is the backward
+    /// path of the pipeline workers, whose scratch lives in a
+    /// trainer-owned slot that outlives the per-step threads.
+    pub fn matmul_nt_into_with(&self, rhs: &Tensor, out: &mut Tensor, pack: &mut Vec<f32>) {
         assert_eq!(self.cols, rhs.cols, "matmul_nt inner dims");
         assert_eq!(out.rows, self.rows, "matmul_nt_into out rows");
         assert_eq!(out.cols, rhs.rows, "matmul_nt_into out cols");
-        self.matmul_nt_store(rhs, &mut out.data);
+        self.matmul_nt_store(rhs, &mut out.data, pack);
     }
 
-    /// Store kernel shared by `matmul_nt`/`matmul_nt_into`: packs
-    /// `rhs^T` into the thread-local scratch, then runs the [`nn_band`]
-    /// kernel against the packed matrix. Every element of `out` is
-    /// overwritten.
-    fn matmul_nt_store(&self, rhs: &Tensor, out: &mut [f32]) {
+    /// Store kernel shared by the `matmul_nt` variants: packs `rhs^T`
+    /// into `pack`, then runs the [`nn_band`] kernel against the packed
+    /// matrix. Every element of `out` is overwritten.
+    fn matmul_nt_store(&self, rhs: &Tensor, out: &mut [f32], pack: &mut Vec<f32>) {
         let (n, k, m) = (self.rows, self.cols, rhs.rows);
         if out.is_empty() {
             return;
@@ -644,20 +645,17 @@ impl Tensor {
             out.fill(0.0);
             return;
         }
-        NT_PACK.with(|cell| {
-            let mut buf = cell.borrow_mut();
-            pack_transpose(&rhs.data, m, k, &mut buf);
-            let bt = &buf[..k * m];
-            if par_worth_it(n, k, m) {
-                out.par_chunks_mut(BAND_ROWS * m)
-                    .enumerate()
-                    .for_each(|(band, band_out)| {
-                        nn_band(&self.data[band * BAND_ROWS * k..], bt, band_out, k, m);
-                    });
-            } else {
-                nn_band(&self.data, bt, out, k, m);
-            }
-        });
+        pack_transpose(&rhs.data, m, k, pack);
+        let bt = &pack[..k * m];
+        if par_worth_it(n, k, m) {
+            out.par_chunks_mut(BAND_ROWS * m)
+                .enumerate()
+                .for_each(|(band, band_out)| {
+                    nn_band(&self.data[band * BAND_ROWS * k..], bt, band_out, k, m);
+                });
+        } else {
+            nn_band(&self.data, bt, out, k, m);
+        }
     }
 
     /// Transposed copy (cache-blocked).

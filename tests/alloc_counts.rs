@@ -1,4 +1,4 @@
-//! Allocation accounting for the two per-iteration hot paths.
+//! Allocation accounting for the per-iteration hot paths.
 //!
 //! The ring AllReduce is measured with a counting global allocator: its
 //! allocation count must be bounded by the rank count (one circulating
@@ -11,30 +11,44 @@
 //! messages, the per-layer forward chain, and the backward input
 //! gradients all circulate through per-trainer free lists, so fresh
 //! allocations happen only during pipeline warmup and their count is
-//! independent of the number of micro-batches.
+//! independent of the number of micro-batches. A supervised
+//! `TrainLoop` step allocates nothing that scales with the model: its
+//! byte count is the same at two hidden widths.
+//!
+//! The counters are process-global, so this suite runs without the
+//! libtest harness (`harness = false` in Cargo.toml): `main` runs the
+//! tests one after another on a single thread, and nothing but the
+//! measured code allocates while a measurement is open. It reports in
+//! libtest's formats (pretty, `-q`/terse, `--format json`) and accepts
+//! the usual name filters, `--exact`, `--skip` and `--list`.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 /// Counts every heap allocation made by this test binary.
 struct CountingAlloc;
 
 static ALLOCS: AtomicUsize = AtomicUsize::new(0);
+static BYTES: AtomicUsize = AtomicUsize::new(0);
+
+fn count(size: usize) {
+    ALLOCS.fetch_add(1, Ordering::Relaxed);
+    BYTES.fetch_add(size, Ordering::Relaxed);
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count(layout.size());
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count(layout.size());
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count(new_size);
         System.realloc(ptr, layout, new_size)
     }
 
@@ -45,9 +59,6 @@ unsafe impl GlobalAlloc for CountingAlloc {
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
-
-/// Serializes the measuring tests: the counter is process-global.
-static MEASURE_LOCK: Mutex<()> = Mutex::new(());
 
 /// Allocations performed by one `allreduce_sum` call on `n` ranks of
 /// `len` elements each (buffer construction excluded).
@@ -74,9 +85,7 @@ fn ring_allocs(n: usize, len: usize) -> usize {
 /// scratch buffer per rank plus fixed per-thread/per-channel wiring —
 /// and in particular far below the seed's per-message `to_vec` cost of
 /// `2 n (n-1)` extra allocations.
-#[test]
 fn ring_allreduce_allocations_bounded_by_ranks() {
-    let _guard = MEASURE_LOCK.lock().unwrap();
     let n = 16;
     // Warm up lazy allocator state (thread-local caches etc.).
     let _ = ring_allocs(n, 64);
@@ -90,9 +99,7 @@ fn ring_allreduce_allocations_bounded_by_ranks() {
 
 /// The allocation count must not scale with the payload length: the
 /// scratch buffer is preallocated at max-chunk capacity and never grows.
-#[test]
 fn ring_allreduce_allocations_independent_of_length() {
-    let _guard = MEASURE_LOCK.lock().unwrap();
     let n = 8;
     let _ = ring_allocs(n, 64);
     let small = ring_allocs(n, 1024);
@@ -120,7 +127,6 @@ fn engine_step(micro_batches: usize, buffer_reuse: bool) -> dapple::engine::Step
 /// Steady-state 1F1B boundary sends allocate nothing: pool misses are a
 /// warmup-only cost, so tripling the micro-batch count leaves the miss
 /// count unchanged while the hit count grows with the extra traffic.
-#[test]
 fn steady_state_pipeline_pool_misses_are_warmup_only() {
     let few = engine_step(4, true);
     let many = engine_step(12, true);
@@ -140,7 +146,6 @@ fn steady_state_pipeline_pool_misses_are_warmup_only() {
 
 /// With reuse off the engine reproduces the seed allocation-per-message
 /// semantics: the free lists stay cold and every take is a miss.
-#[test]
 fn disabled_pool_never_hits() {
     let out = engine_step(4, false);
     assert_eq!(out.pool_hits, 0);
@@ -178,9 +183,7 @@ fn single_stage_step_allocs(micro_batches: usize) -> usize {
 /// micro-batch cost two fresh gradient tensors per layer (the `dW` hole
 /// the TensorPool never covered), which here would show up as ≥100
 /// extra allocations.
-#[test]
 fn steady_state_micro_batch_allocations_are_zero() {
-    let _guard = MEASURE_LOCK.lock().unwrap();
     let few = single_stage_step_allocs(4);
     let many = single_stage_step_allocs(12);
     assert!(
@@ -193,13 +196,11 @@ fn steady_state_micro_batch_allocations_are_zero() {
 /// zero heap allocations, even at overflow. This is the invariant that
 /// lets workers trace the hot path without breaking the alloc-free
 /// steady state — and with tracing off the engine skips even this.
-#[test]
 fn span_recording_allocates_nothing() {
     use dapple::engine::{SpanKind, SpanRing, SpanWriter};
     use std::sync::Arc;
     use std::time::Instant;
 
-    let _guard = MEASURE_LOCK.lock().unwrap();
     let ring = Arc::new(SpanRing::new(64));
     let writer = SpanWriter::new(Arc::clone(&ring), Instant::now());
     let before = ALLOCS.load(Ordering::Relaxed);
@@ -242,14 +243,11 @@ fn traced_step_allocs(micro_batches: usize, tracing: bool) -> usize {
 /// working size; after that warmup, a thousand fully-populated records
 /// (scalars + recovery costs + trace-derived schedule metrics) must not
 /// touch the heap at all.
-#[test]
 fn metrics_recording_allocates_nothing_at_steady_state() {
     use dapple::core::MetricsRegistry;
     use dapple::engine::{
         data, EngineConfig, FaultPlan, MlpModel, PipelineTrainer, RecoveryStepMetrics, RunRecorder,
     };
-
-    let _guard = MEASURE_LOCK.lock().unwrap();
 
     // The registry alone: inc/set/observe are index writes.
     let mut reg = MetricsRegistry::new();
@@ -318,9 +316,7 @@ fn metrics_recording_allocates_nothing_at_steady_state() {
 /// because recording itself is allocation-free (see above). Tripling the
 /// span traffic must not move the traced-minus-untraced delta by more
 /// than scheduling noise.
-#[test]
 fn tracing_alloc_overhead_independent_of_micro_batches() {
-    let _guard = MEASURE_LOCK.lock().unwrap();
     let delta_few = traced_step_allocs(4, true) as i64 - traced_step_allocs(4, false) as i64;
     let delta_many = traced_step_allocs(12, true) as i64 - traced_step_allocs(12, false) as i64;
     // m=12 records ~100 more spans than m=4; if recording allocated even
@@ -330,4 +326,203 @@ fn tracing_alloc_overhead_independent_of_micro_batches() {
         "tracing alloc overhead scales with micro-batches: \
          {delta_few} extra allocs at m=4, {delta_many} at m=12"
     );
+}
+
+/// Bytes allocated by the cheapest of several warmed-up supervised
+/// `TrainLoop` steps (Adam) on one stage with two replicas and hidden
+/// width `width`.
+#[allow(clippy::single_range_in_vec_init)] // one stage covering layers 0..3
+fn train_loop_step_bytes(width: usize) -> usize {
+    use dapple::engine::{DataStream, EngineConfig, FaultPlan, MlpModel, Optimizer, TrainLoop};
+    let model = MlpModel::new(&[6, width, width, 4], 5);
+    let optimizer = Optimizer::adam(0.01, &model);
+    let mut cfg = EngineConfig::straight(vec![0..3], 2, 0.1);
+    cfg.replication = vec![2];
+    let mut lp = TrainLoop::new(model, cfg, optimizer, DataStream::new(3, 16, 6, 4)).unwrap();
+    lp.run(3).unwrap();
+    let plan = FaultPlan::new();
+    (0..5)
+        .map(|_| {
+            let before = BYTES.load(Ordering::Relaxed);
+            lp.try_step(&plan).unwrap();
+            BYTES.load(Ordering::Relaxed) - before
+        })
+        .min()
+        .unwrap()
+}
+
+/// A warmed-up supervised step allocates nothing proportional to the
+/// parameter count: gradient accumulators and kernel scratch live in
+/// trainer-owned slots, replicas are reduced into recycled output
+/// gradients, Adam updates in place and no pre-step model copy is taken.
+/// Doubling the hidden width (4x the hidden-layer parameters) must not
+/// change the bytes allocated per step at all.
+fn train_loop_step_bytes_independent_of_width() {
+    let narrow = train_loop_step_bytes(32);
+    let wide = train_loop_step_bytes(64);
+    assert_eq!(
+        narrow, wide,
+        "per-step allocation scales with the model: {narrow} bytes at width 32, {wide} at 64"
+    );
+}
+
+/// Every test of this suite, in run order.
+const TESTS: &[(&str, fn())] = &[
+    (
+        "ring_allreduce_allocations_bounded_by_ranks",
+        ring_allreduce_allocations_bounded_by_ranks,
+    ),
+    (
+        "ring_allreduce_allocations_independent_of_length",
+        ring_allreduce_allocations_independent_of_length,
+    ),
+    (
+        "steady_state_pipeline_pool_misses_are_warmup_only",
+        steady_state_pipeline_pool_misses_are_warmup_only,
+    ),
+    ("disabled_pool_never_hits", disabled_pool_never_hits),
+    (
+        "steady_state_micro_batch_allocations_are_zero",
+        steady_state_micro_batch_allocations_are_zero,
+    ),
+    (
+        "span_recording_allocates_nothing",
+        span_recording_allocates_nothing,
+    ),
+    (
+        "metrics_recording_allocates_nothing_at_steady_state",
+        metrics_recording_allocates_nothing_at_steady_state,
+    ),
+    (
+        "tracing_alloc_overhead_independent_of_micro_batches",
+        tracing_alloc_overhead_independent_of_micro_batches,
+    ),
+    (
+        "train_loop_step_bytes_independent_of_width",
+        train_loop_step_bytes_independent_of_width,
+    ),
+];
+
+/// How results are reported; libtest's `--format` (and `-q` for terse).
+#[derive(Clone, Copy, PartialEq)]
+enum Format {
+    Pretty,
+    Terse,
+    Json,
+}
+
+/// Runs the selected tests sequentially and reports them in libtest's
+/// format; exits non-zero when any fails.
+fn main() -> std::process::ExitCode {
+    let mut filters = Vec::new();
+    let mut skips = Vec::new();
+    let (mut exact, mut list, mut ignored_only) = (false, false, false);
+    let mut format = Format::Pretty;
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
+        let (flag, inline) = match arg.split_once('=') {
+            Some((f, v)) if f.starts_with("--") => (f.to_string(), Some(v.to_string())),
+            _ => (arg.clone(), None),
+        };
+        let mut value = || inline.clone().or_else(|| args.next());
+        match flag.as_str() {
+            "--exact" => exact = true,
+            "--list" => list = true,
+            "-q" | "--quiet" => format = Format::Terse,
+            "--ignored" => ignored_only = true,
+            "--skip" => skips.extend(value()),
+            "--format" => {
+                format = match value().as_deref() {
+                    Some("terse") => Format::Terse,
+                    Some("json") => Format::Json,
+                    _ => Format::Pretty,
+                }
+            }
+            // Options taking a value this runner has no use for.
+            "--test-threads" | "--color" | "--logfile" | "-Z" => {
+                value();
+            }
+            a if a.starts_with('-') => {}
+            a => filters.push(a.to_string()),
+        }
+    }
+    let matches = |name: &str, pat: &str| {
+        if exact {
+            name == pat
+        } else {
+            name.contains(pat)
+        }
+    };
+    let selected: Vec<&(&str, fn())> = TESTS
+        .iter()
+        .filter(|_| !ignored_only)
+        .filter(|(name, _)| filters.is_empty() || filters.iter().any(|f| matches(name, f)))
+        .filter(|(name, _)| !skips.iter().any(|s| matches(name, s)))
+        .collect();
+    if list {
+        for (name, _) in &selected {
+            println!("{name}: test");
+        }
+        if format == Format::Pretty {
+            println!("\n{} tests, 0 benchmarks", selected.len());
+        }
+        return std::process::ExitCode::SUCCESS;
+    }
+
+    let start = std::time::Instant::now();
+    match format {
+        Format::Json => println!(
+            r#"{{ "type": "suite", "event": "started", "test_count": {} }}"#,
+            selected.len()
+        ),
+        _ => println!("\nrunning {} tests", selected.len()),
+    }
+    let mut failed = Vec::new();
+    for (name, test) in &selected {
+        if format == Format::Json {
+            println!(r#"{{ "type": "test", "event": "started", "name": "{name}" }}"#);
+        }
+        let ok = std::panic::catch_unwind(*test).is_ok();
+        match format {
+            Format::Pretty => println!("test {name} ... {}", if ok { "ok" } else { "FAILED" }),
+            Format::Terse => print!("{}", if ok { "." } else { "F" }),
+            Format::Json => println!(
+                r#"{{ "type": "test", "name": "{name}", "event": "{}" }}"#,
+                if ok { "ok" } else { "failed" }
+            ),
+        }
+        if !ok {
+            failed.push(*name);
+        }
+    }
+    let (passed, filtered) = (selected.len() - failed.len(), TESTS.len() - selected.len());
+    let secs = start.elapsed().as_secs_f64();
+    if format == Format::Json {
+        println!(
+            r#"{{ "type": "suite", "event": "{}", "passed": {passed}, "failed": {}, "ignored": 0, "measured": 0, "filtered_out": {filtered}, "exec_time": {secs} }}"#,
+            if failed.is_empty() { "ok" } else { "failed" },
+            failed.len()
+        );
+    } else {
+        if format == Format::Terse {
+            println!();
+        }
+        if !failed.is_empty() {
+            println!("\nfailures:");
+            for name in &failed {
+                println!("    {name}");
+            }
+        }
+        println!(
+            "\ntest result: {}. {passed} passed; {} failed; 0 ignored; 0 measured; \
+             {filtered} filtered out; finished in {secs:.2}s\n",
+            if failed.is_empty() { "ok" } else { "FAILED" },
+            failed.len()
+        );
+    }
+    if failed.is_empty() {
+        std::process::ExitCode::SUCCESS
+    } else {
+        std::process::ExitCode::from(101)
+    }
 }
