@@ -45,7 +45,6 @@ fn bench_train_step(c: &mut Criterion) {
             loss: dapple_engine::LossKind::Mse,
             recv_timeout: std::time::Duration::from_secs(5),
             nan_policy: dapple_engine::NanPolicy::AbortStep,
-            buffer_reuse: true,
             tracing: false,
         },
     )

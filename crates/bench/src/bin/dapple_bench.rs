@@ -46,9 +46,7 @@ use dapple_bench::validate::{
     calibrate_validation, replan_from_measured, Scenario, MAX_CALIBRATION_ROUNDS, MEASURE_ITERS,
 };
 use dapple_core::{DeviceId, Plan, StagePlan};
-use dapple_engine::checkpoint::{
-    state_to_bytes, v3_chain_to_state, v3_delta_to_bytes, v3_full_to_bytes,
-};
+use dapple_engine::checkpoint::{v3_chain_to_state, v3_delta_to_bytes, v3_full_to_bytes};
 use dapple_engine::{
     data, DataStream, EngineConfig, FaultKind, FaultPlan, MlpModel, Optimizer, Partition,
     PipelineTrainer, RetryPolicy, Supervisor, Tensor, TrainLoop, TrainState,
@@ -77,8 +75,7 @@ fn time_ns<F: FnMut()>(iters: u32, mut f: F) -> f64 {
     start.elapsed().as_nanos() as f64 / f64::from(iters)
 }
 
-/// Times `f` per iteration and reports the *minimum* — the same noise
-/// discipline `engine_benches` adopted after BENCH_4: on a shared host
+/// Times `f` per iteration and reports the *minimum*: on a shared host
 /// timing noise is strictly additive (preemption, steal time, cache
 /// pollution), so the fastest observed iteration is the best estimate
 /// of intrinsic cost. Use for multi-threaded measurements whose mean a
@@ -243,70 +240,42 @@ fn matmul_shape_benches(smoke: bool, out: &mut Vec<Record>) {
     }
 }
 
-/// The reuse-on/reuse-off comparison is *interleaved*: both trainers are
-/// built up front, then each round times one best-of-3 step per config in
-/// alternation and the per-config medians are reported. Back-to-back
-/// blocks (all reuse_on iterations, then all reuse_off) let slow drift in
-/// machine load masquerade as a config difference — which is exactly how
-/// BENCH_4 recorded the pooled path as a regression.
+/// One pipeline step on a straight 3-stage pipeline, timed as the
+/// minimum over iterations ([`time_ns_min`]).
 fn engine_benches(smoke: bool, out: &mut Vec<Record>) {
     // Full mode uses narrow layers with a large batch: per-step compute
     // scales with width² but buffer traffic only with width, so narrow
-    // shapes are where buffer reuse is a measurable share of the step
-    // (wide shapes bury the allocator under matmul time).
-    let (dims, batch, rounds): (Vec<usize>, usize, u32) = if smoke {
-        (vec![5, 12, 10, 8, 8, 4, 3], 24, 3)
+    // shapes are where orchestration and buffer handling are a
+    // measurable share of the step.
+    let (dims, batch, iters): (Vec<usize>, usize, u32) = if smoke {
+        (vec![5, 12, 10, 8, 8, 4, 3], 24, 9)
     } else {
-        (vec![32, 64, 64, 64, 64, 64, 32], 4096, 14)
+        (vec![32, 64, 64, 64, 64, 64, 32], 4096, 42)
     };
     let (x, t) = data::regression_batch(batch, dims[0], *dims.last().unwrap(), 11);
-    let plan = FaultPlan::new();
-    let configs = [("reuse_on", true), ("reuse_off", false)];
-    let mut trainers = Vec::new();
-    let mut pool_counters = Vec::new();
-    for &(_, reuse) in &configs {
-        let mut cfg = EngineConfig::straight(vec![0..2, 2..4, 4..6], 4, 0.1);
-        cfg.buffer_reuse = reuse;
-        let trainer = PipelineTrainer::new(MlpModel::new(&dims, 3), cfg).unwrap();
-        // Two warmup steps: the first fills the persistent per-worker
-        // pools, the second reports steady-state hit/miss counters.
-        trainer.step_grads_with_faults(&x, &t, &plan).unwrap();
-        let warm = trainer.step_grads_with_faults(&x, &t, &plan).unwrap();
-        pool_counters.push((warm.pool_hits, warm.pool_misses));
-        trainers.push(trainer);
-    }
-    let mut samples: Vec<Vec<f64>> = vec![Vec::new(); configs.len()];
-    for _ in 0..rounds {
-        for (i, trainer) in trainers.iter().enumerate() {
-            let best = (0..3)
-                .map(|_| {
-                    let t0 = Instant::now();
-                    let out = trainer.step_grads_with_faults(&x, &t, &plan).unwrap();
-                    black_box(out.loss);
-                    t0.elapsed().as_nanos() as f64
-                })
-                .fold(f64::INFINITY, f64::min);
-            samples[i].push(best);
-        }
-    }
-    for (i, &(label, _)) in configs.iter().enumerate() {
-        // Minimum across rounds: timing noise on a shared host is strictly
-        // additive (scheduler preemption, cache pollution from neighbours),
-        // so the fastest observed step is the best estimate of the
-        // configuration's intrinsic cost.
-        let best = samples[i].iter().copied().fold(f64::INFINITY, f64::min);
-        out.push(Record {
-            group: "pipeline_step",
-            name: format!("straight3_m4_{label}"),
-            iters: rounds * 3,
-            ns_per_iter: best,
-            extra: vec![
-                ("pool_hits", pool_counters[i].0.to_string()),
-                ("pool_misses", pool_counters[i].1.to_string()),
-                ("method", "\"interleaved_min_best_of_3\"".to_string()),
-            ],
-        });
-    }
+    let cfg = EngineConfig::straight(vec![0..2, 2..4, 4..6], 4, 0.1);
+    let trainer = PipelineTrainer::new(MlpModel::new(&dims, 3), cfg).unwrap();
+    // Two warmup steps: the first fills the persistent per-worker pools,
+    // the second reports steady-state hit/miss counters.
+    trainer.step_grads(&x, &t).unwrap();
+    let warm = trainer
+        .step_with_trace(&x, &t, &FaultPlan::new())
+        .0
+        .unwrap();
+    let ns = time_ns_min(iters, || {
+        black_box(trainer.step_grads(&x, &t).unwrap().0);
+    });
+    out.push(Record {
+        group: "pipeline_step",
+        name: "straight3_m4".into(),
+        iters,
+        ns_per_iter: ns,
+        extra: vec![
+            ("pool_hits", warm.pool_hits.to_string()),
+            ("pool_misses", warm.pool_misses.to_string()),
+            ("method", "\"min_of_iters\"".to_string()),
+        ],
+    });
 }
 
 /// A float as a JSON value; non-finite becomes `null` (JSON has no Inf).
@@ -322,10 +291,9 @@ fn json_f64(v: f64) -> String {
 /// timed with the tracing knob off and on.
 ///
 /// Both trainers are built up front and timed in *alternating*
-/// min-best-of-3 rounds, the same discipline `engine_benches` adopted
-/// after BENCH_4: overhead is a ratio of two ~20 ms timings, so a few
-/// percent of slow drift between a tracing_off block and a tracing_on
-/// block shows up multiplied — which is exactly how BENCH_5 recorded
+/// min-best-of-3 rounds: overhead is a ratio of two ~20 ms timings, so
+/// a few percent of slow drift between a tracing_off block and a
+/// tracing_on block shows up multiplied — which is exactly how BENCH_5 recorded
 /// 16.2% on a path whose real cost is ~100 clock reads per step
 /// (BENCH_3/4 sat at 1.4–2.3%). The minimum across rounds estimates
 /// each config's intrinsic cost because host noise is strictly additive.
@@ -346,7 +314,7 @@ fn tracing_overhead_shape(
         cfg.tracing = tracing;
         let trainer = PipelineTrainer::new(MlpModel::new(dims, 3), cfg).unwrap();
         // Warmup fills the persistent buffer pools and faults in code.
-        trainer.step_grads_with_faults(&x, &t, &plan).unwrap();
+        trainer.step_grads(&x, &t).unwrap();
         trainers.push(trainer);
     }
     let mut best = [f64::INFINITY; 2];
@@ -355,7 +323,7 @@ fn tracing_overhead_shape(
             let round_best = (0..3)
                 .map(|_| {
                     let t0 = Instant::now();
-                    let out = trainer.step_grads_with_faults(&x, &t, &plan).unwrap();
+                    let out = trainer.step_with_trace(&x, &t, &plan).0.unwrap();
                     black_box(out.loss);
                     t0.elapsed().as_nanos() as f64
                 })
@@ -365,8 +333,9 @@ fn tracing_overhead_shape(
     }
     // One extra traced step for the trace-derived extras (and `--trace`
     // export) — outside the timed region.
-    let outcome = trainers[1].step_grads_with_faults(&x, &t, &plan).unwrap();
-    let trace = outcome.trace.as_ref().expect("tracing enabled");
+    let (outcome, trace) = trainers[1].step_with_trace(&x, &t, &plan);
+    outcome.unwrap();
+    let trace = trace.expect("tracing enabled");
     for (i, &(label, tracing)) in configs.iter().enumerate() {
         let mut extra = vec![("method", "\"interleaved_min_best_of_3\"".to_string())];
         if tracing {
@@ -466,40 +435,12 @@ fn recovery_benches(smoke: bool, out: &mut Vec<Record>, recovery_log: Option<&st
         .unwrap()
     };
 
-    // Checkpoint v2 serialization / resume latency on a warmed-up loop
-    // (Adam: the checkpoint carries two moment buffers per layer).
-    let mut lp = mk_loop();
-    lp.run(2).unwrap();
-    let bytes = lp.save_bytes();
-    let save_ns = time_ns_min(iters, || {
-        black_box(lp.save_bytes().len());
-    });
-    out.push(Record {
-        group: "recovery",
-        name: "checkpoint_v2_save".into(),
-        iters,
-        ns_per_iter: save_ns,
-        extra: vec![("bytes", bytes.len().to_string())],
-    });
-    let cfg = lp.config().clone();
-    let load_ns = time_ns_min(iters, || {
-        let restored = TrainLoop::resume_bytes(&bytes, cfg.clone()).unwrap();
-        black_box(restored.step());
-    });
-    out.push(Record {
-        group: "recovery",
-        name: "checkpoint_v2_load".into(),
-        iters,
-        ns_per_iter: load_ns,
-        extra: vec![("bytes", bytes.len().to_string())],
-    });
-
     // Checkpoint v3: sharded saves with per-layer version counters. The
     // full save writes every shard; the delta writes only the shards
     // whose version advanced — here 2 of 16 layers (1/8 of the model),
     // the regime delta checkpoints exist for. The time and byte ratios
-    // versus the monolithic v2 save of the same state land in the
-    // report so the diff barometer tracks them.
+    // versus the full save of the same state land in the report so the
+    // diff barometer tracks them.
     let deep_dims: Vec<usize> = if smoke {
         let mut d = vec![5];
         d.extend(std::iter::repeat_n(8, 15));
@@ -530,17 +471,6 @@ fn recovery_benches(smoke: bool, out: &mut Vec<Record>, recovery_log: Option<&st
     let mut versions = since.clone();
     versions[0] = 2;
     versions[n_shards / 2] = 2;
-    let v2_deep = state_to_bytes(&deep_state);
-    let v2_deep_ns = time_ns_min(iters, || {
-        black_box(state_to_bytes(&deep_state).len());
-    });
-    out.push(Record {
-        group: "recovery",
-        name: "checkpoint_v2_save_16layer".into(),
-        iters,
-        ns_per_iter: v2_deep_ns,
-        extra: vec![("bytes", v2_deep.len().to_string())],
-    });
     let full = v3_full_to_bytes(&deep_state, &partition, &since, 1);
     let full_ns = time_ns_min(iters, || {
         black_box(v3_full_to_bytes(&deep_state, &partition, &since, 1).len());
@@ -564,10 +494,7 @@ fn recovery_benches(smoke: bool, out: &mut Vec<Record>, recovery_log: Option<&st
         extra: vec![
             ("bytes", delta.len().to_string()),
             ("changed_shards", format!("\"2/{n_shards}\"")),
-            (
-                "speedup_vs_v2_full",
-                json_f64(v2_deep_ns / delta_ns.max(1.0)),
-            ),
+            ("speedup_vs_full", json_f64(full_ns / delta_ns.max(1.0))),
             (
                 "bytes_ratio_vs_full",
                 json_f64(delta.len() as f64 / full.len() as f64),
@@ -587,9 +514,11 @@ fn recovery_benches(smoke: bool, out: &mut Vec<Record>, recovery_log: Option<&st
         extra: vec![("chain_len", v3_chain.len().to_string())],
     });
 
-    // Transactional supervised step, never faulted: the price of the
-    // pre-step snapshot relative to a bare pipeline step is what the
-    // alloc-count tests keep at zero allocations.
+    // Transactional supervised step, never faulted: the baseline the
+    // recovered step below is measured against. It copies no state
+    // before the step (rollback restores only the step counter and data
+    // cursor), and tests/alloc_counts.rs keeps its steady-state
+    // allocations independent of the model width.
     let mut sup = Supervisor::new(mk_loop(), RetryPolicy::default());
     let clean_ns = time_ns_min(iters, || {
         let s = sup.step_with(&mut |_, _| FaultPlan::new()).unwrap();

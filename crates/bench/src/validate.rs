@@ -409,10 +409,9 @@ pub fn measure(scenario: &Scenario, iters: usize) -> Measurement {
     }
     let mut traces: Vec<StepTrace> = Vec::with_capacity(iters);
     for _ in 0..iters {
-        let outcome = trainer
-            .step_grads_with_faults(&x, &t, &FaultPlan::new())
-            .expect("measured step");
-        traces.push(outcome.trace.expect("tracing was enabled"));
+        let (outcome, trace) = trainer.step_with_trace(&x, &t, &FaultPlan::new());
+        outcome.expect("measured step");
+        traces.push(trace.expect("tracing was enabled"));
     }
     let makespans_us: Vec<f64> = traces
         .iter()

@@ -1,58 +1,44 @@
-//! Dependency-free binary checkpointing for engine models and full
-//! training state.
+//! Dependency-free binary checkpointing of full training state.
 //!
-//! Three tiny, versioned little-endian formats share one header:
+//! One versioned little-endian format (v3: sharded, delta-capable):
 //!
 //! ```text
-//! v1 (model only):
-//!   magic "DAPL" | version=1 u32 | n_layers u32 |
-//!     per layer: in u32 | out u32 | act u8 | weights f32* | bias f32*
-//!
-//! v2 (full training state):
-//!   magic "DAPL" | version=2 u32 | n_layers u32 | layers (as v1) |
-//!   opt u8 (0=SGD lr | 1=Momentum lr beta velocity* | 2=Adam lr b1 b2
-//!           eps t m* v*)  — state buffer lengths are implied by the
-//!           layer dims, so the format has no attacker-controlled sizes |
-//!   step u64 | data_seed u64 | data_cursor u64 | batch_samples u32 |
-//!   fnv1a64 u64 over every preceding byte
-//!
-//! v3 (sharded training state, delta-capable):
-//!   magic "DAPL" | version=3 u32 | kind u8 (0=full, 1=delta) |
-//!   save_id u64 | base_id u64 (the full save a delta builds on; equal
-//!     to save_id for a full save) |
-//!   step u64 | data_seed u64 | data_cursor u64 | batch_samples u32 |
-//!   n_stages u32 | per stage: start u32 | end u32 | replication u32
-//!     (the *active* partition — a checkpoint taken while degraded
-//!      restores the degraded pipeline, not the original one) |
-//!   n_layers u32 | per layer: in u32 | out u32 | act u8 |
-//!   opt u8 + scalars (0: lr | 1: lr beta | 2: lr b1 b2 eps t) |
-//!   n_shards u32 | header fnv1a64 u64 over every preceding byte |
-//!   per shard: layer u32 | version u64 |
-//!     payload f32*: weights, bias, then one optimizer buffer per
-//!       moment (velocity, or Adam m then v), each `num_params` long |
-//!     shard fnv1a64 u64 over the record (layer through payload)
+//! magic "DAPL" | version=3 u32 | kind u8 (0=full, 1=delta) |
+//! save_id u64 | base_id u64 (the full save a delta builds on; equal
+//!   to save_id for a full save) |
+//! step u64 | data_seed u64 | data_cursor u64 | batch_samples u32 |
+//! n_stages u32 | per stage: start u32 | end u32 | replication u32
+//!   (the *active* partition — a checkpoint taken while degraded
+//!    restores the degraded pipeline, not the original one) |
+//! n_layers u32 | per layer: in u32 | out u32 | act u8 |
+//! opt u8 + scalars (0=SGD: lr | 1=Momentum: lr beta |
+//!   2=Adam: lr b1 b2 eps t) |
+//! n_shards u32 | header fnv1a64 u64 over every preceding byte |
+//! per shard: layer u32 | version u64 |
+//!   payload f32*: weights, bias, then one optimizer buffer per
+//!     moment (velocity, or Adam m then v), each `num_params` long |
+//!   shard fnv1a64 u64 over the record (layer through payload)
 //! ```
 //!
 //! Training through a pipeline is only trustworthy if the state can
 //! round-trip exactly, so encoding preserves every bit of every `f32` —
 //! including optimizer moments, whose loss would silently change the
-//! trajectory after a resume. v2 ends with an FNV-1a checksum so that a
-//! corrupted file is rejected as [`DappleError::InvalidConfig`] instead
-//! of resuming from silently-wrong weights. All size arithmetic on the
-//! read path is checked: a crafted header can never drive a huge
-//! allocation or an offset overflow (bounds are validated against the
-//! actual remaining bytes before any buffer is reserved).
+//! trajectory after a resume. All size arithmetic on the read path is
+//! checked: a crafted header can never drive a huge allocation or an
+//! offset overflow (bounds are validated against the actual remaining
+//! bytes before any buffer is reserved).
 //!
-//! v3 splits the state into **per-layer shards** carrying monotonic
+//! The state is split into **per-layer shards** carrying monotonic
 //! version counters. [`v3_delta_to_bytes`] writes only the shards whose
 //! version advanced since the previous save — O(changed shards), not
 //! O(model) — and [`v3_chain_to_state`] merges a full base plus its
-//! delta chain back into a [`TrainState`]. Every shard carries its own
-//! checksum, so corruption is rejected with a structured
+//! delta chain back into a [`TrainState`]. The header checksum is
+//! verified before any payload is parsed, and every shard carries its
+//! own, so corruption is rejected with a structured
 //! [`DappleError::ShardCorrupt`] *naming the bad shard* instead of a
-//! whole-file error (the file-level checksum covers only the header).
-//! [`CheckpointStore`] layers a directory convention on top, with
-//! coordination-free GC of deltas obsoleted by a newer full save.
+//! whole-file error. [`CheckpointStore`] layers a directory convention
+//! on top, with coordination-free GC of deltas obsoleted by a newer full
+//! save.
 
 use crate::layer::{Activation, Dense};
 use crate::model::MlpModel;
@@ -63,8 +49,6 @@ use std::ops::Range;
 use std::path::{Path, PathBuf};
 
 const MAGIC: &[u8; 4] = b"DAPL";
-const V1: u32 = 1;
-const V2: u32 = 2;
 const V3: u32 = 3;
 
 /// Upper bound accepted for `n_stages` on the v3 read path.
@@ -89,235 +73,19 @@ pub struct TrainState {
     pub batch_samples: u32,
 }
 
-/// Serializes a model to bytes (v1: weights only, kept for
-/// compatibility with pre-recovery checkpoints).
-pub fn to_bytes(model: &MlpModel) -> Vec<u8> {
-    let mut out = Vec::with_capacity(16 + model.num_params() * 4);
-    out.extend_from_slice(MAGIC);
-    out.extend_from_slice(&V1.to_le_bytes());
-    write_model(&mut out, model);
-    out
-}
-
-/// Serializes full training state to bytes (v2, checksummed).
-pub fn state_to_bytes(state: &TrainState) -> Vec<u8> {
-    let mut out = Vec::with_capacity(32 + state.model.num_params() * 16);
-    out.extend_from_slice(MAGIC);
-    out.extend_from_slice(&V2.to_le_bytes());
-    write_model(&mut out, &state.model);
-    match &state.optimizer {
-        Optimizer::Sgd { lr } => {
-            out.push(0);
-            out.extend_from_slice(&lr.to_le_bytes());
-        }
-        Optimizer::Momentum { lr, beta, velocity } => {
-            out.push(1);
-            out.extend_from_slice(&lr.to_le_bytes());
-            out.extend_from_slice(&beta.to_le_bytes());
-            write_bufs(&mut out, velocity);
-        }
-        Optimizer::Adam {
-            lr,
-            beta1,
-            beta2,
-            eps,
-            t,
-            m,
-            v,
-        } => {
-            out.push(2);
-            out.extend_from_slice(&lr.to_le_bytes());
-            out.extend_from_slice(&beta1.to_le_bytes());
-            out.extend_from_slice(&beta2.to_le_bytes());
-            out.extend_from_slice(&eps.to_le_bytes());
-            out.extend_from_slice(&t.to_le_bytes());
-            write_bufs(&mut out, m);
-            write_bufs(&mut out, v);
-        }
-    }
-    out.extend_from_slice(&state.step.to_le_bytes());
-    out.extend_from_slice(&state.data_seed.to_le_bytes());
-    out.extend_from_slice(&state.data_cursor.to_le_bytes());
-    out.extend_from_slice(&state.batch_samples.to_le_bytes());
-    let sum = fnv1a64(&out);
-    out.extend_from_slice(&sum.to_le_bytes());
-    out
-}
-
-/// Reconstructs a model from bytes produced by [`to_bytes`] (v1) or
-/// [`state_to_bytes`] (v2 — the optimizer and cursors are dropped).
-pub fn from_bytes(bytes: &[u8]) -> Result<MlpModel> {
-    match read_version(bytes)? {
-        V1 => {
-            let mut cur = Cursor {
-                bytes,
-                pos: MAGIC.len() + 4,
-            };
-            let model = read_model(&mut cur)?;
-            if cur.pos != bytes.len() {
-                return Err(DappleError::InvalidConfig(format!(
-                    "trailing {} bytes in checkpoint",
-                    bytes.len() - cur.pos
-                )));
-            }
-            Ok(model)
-        }
-        _ => Ok(state_from_bytes(bytes)?.model),
-    }
-}
-
-/// Reconstructs full training state from bytes produced by
-/// [`state_to_bytes`]. v1 files are model-only and are rejected here —
-/// load them with [`from_bytes`] and rebuild the optimizer explicitly
-/// (the training trajectory after such a resume is *not* identical,
-/// which is exactly why v2 exists).
-pub fn state_from_bytes(bytes: &[u8]) -> Result<TrainState> {
-    match read_version(bytes)? {
-        V1 => Err(DappleError::InvalidConfig(
-            "v1 checkpoint carries no optimizer/cursor state; \
-             load it with from_bytes and rebuild the optimizer"
-                .into(),
-        )),
-        V3 => Ok(v3_chain_to_state(&[bytes])?.state),
-        _ => {
-            // Integrity first: a v2 file must checksum before any field
-            // is trusted.
-            if bytes.len() < MAGIC.len() + 4 + 8 {
-                return Err(DappleError::InvalidConfig("truncated checkpoint".into()));
-            }
-            let body = &bytes[..bytes.len() - 8];
-            let stored = u64::from_le_bytes(bytes[bytes.len() - 8..].try_into().expect("8 bytes"));
-            let computed = fnv1a64(body);
-            if stored != computed {
-                return Err(DappleError::InvalidConfig(format!(
-                    "checkpoint checksum mismatch: stored {stored:#018x}, \
-                     computed {computed:#018x}"
-                )));
-            }
-            let mut cur = Cursor {
-                bytes: body,
-                pos: MAGIC.len() + 4,
-            };
-            let model = read_model(&mut cur)?;
-            let optimizer = read_optimizer(&mut cur, &model)?;
-            let step = cur.u64()?;
-            let data_seed = cur.u64()?;
-            let data_cursor = cur.u64()?;
-            let batch_samples = cur.u32()?;
-            if cur.pos != body.len() {
-                return Err(DappleError::InvalidConfig(format!(
-                    "trailing {} bytes in checkpoint",
-                    body.len() - cur.pos
-                )));
-            }
-            Ok(TrainState {
-                model,
-                optimizer,
-                step,
-                data_seed,
-                data_cursor,
-                batch_samples,
-            })
-        }
-    }
-}
-
-/// Validates the magic and returns the (supported) format version.
-fn read_version(bytes: &[u8]) -> Result<u32> {
+/// Validates the magic and the format version (v3 is the only one).
+fn check_version(bytes: &[u8]) -> Result<()> {
     let mut cur = Cursor { bytes, pos: 0 };
-    let magic = cur.take(4)?;
-    if magic != MAGIC {
+    if cur.take(4)? != MAGIC {
         return Err(DappleError::InvalidConfig("bad checkpoint magic".into()));
     }
     let version = cur.u32()?;
-    if version != V1 && version != V2 && version != V3 {
+    if version != V3 {
         return Err(DappleError::InvalidConfig(format!(
             "unsupported checkpoint version {version}"
         )));
     }
-    Ok(version)
-}
-
-/// Writes `n_layers` and the per-layer records (shared by v1 and v2).
-fn write_model(out: &mut Vec<u8>, model: &MlpModel) {
-    out.extend_from_slice(&(model.layers.len() as u32).to_le_bytes());
-    for layer in &model.layers {
-        out.extend_from_slice(&(layer.in_dim() as u32).to_le_bytes());
-        out.extend_from_slice(&(layer.out_dim() as u32).to_le_bytes());
-        out.push(match layer.act {
-            Activation::Identity => 0,
-            Activation::Relu => 1,
-            Activation::Tanh => 2,
-        });
-        for v in &layer.w.data {
-            out.extend_from_slice(&v.to_le_bytes());
-        }
-        for v in &layer.b {
-            out.extend_from_slice(&v.to_le_bytes());
-        }
-    }
-}
-
-/// Writes flat per-layer state buffers (lengths implied by layer dims).
-fn write_bufs(out: &mut Vec<u8>, bufs: &[Vec<f32>]) {
-    for buf in bufs {
-        for v in buf {
-            out.extend_from_slice(&v.to_le_bytes());
-        }
-    }
-}
-
-/// Reads the layer section. Every size computation is checked and
-/// validated against the bytes actually present *before* any buffer is
-/// reserved, so a crafted header cannot request a multi-GB allocation.
-fn read_model(cur: &mut Cursor<'_>) -> Result<MlpModel> {
-    let n_layers = cur.u32()? as usize;
-    if n_layers == 0 || n_layers > 1 << 20 {
-        return Err(DappleError::InvalidConfig(format!(
-            "implausible layer count {n_layers}"
-        )));
-    }
-    let mut layers = Vec::with_capacity(n_layers.min(1024));
-    for _ in 0..n_layers {
-        let in_dim = cur.u32()? as usize;
-        let out_dim = cur.u32()? as usize;
-        let act = match cur.u8()? {
-            0 => Activation::Identity,
-            1 => Activation::Relu,
-            2 => Activation::Tanh,
-            a => {
-                return Err(DappleError::InvalidConfig(format!(
-                    "unknown activation tag {a}"
-                )))
-            }
-        };
-        let n_w = checked_params(in_dim, out_dim)?;
-        // The payload must actually be present before reserving room
-        // for it — this is the total-size sanity bound.
-        let need = (n_w + out_dim)
-            .checked_mul(4)
-            .ok_or_else(|| DappleError::InvalidConfig("layer size overflows".into()))?;
-        if need > cur.remaining() {
-            return Err(DappleError::InvalidConfig(format!(
-                "layer claims {need} payload bytes, only {} remain",
-                cur.remaining()
-            )));
-        }
-        let mut w = Vec::with_capacity(n_w);
-        for _ in 0..n_w {
-            w.push(cur.f32()?);
-        }
-        let mut b = Vec::with_capacity(out_dim);
-        for _ in 0..out_dim {
-            b.push(cur.f32()?);
-        }
-        layers.push(Dense {
-            w: Tensor::from_vec(in_dim, out_dim, w),
-            b,
-            act,
-        });
-    }
-    Ok(MlpModel { layers })
+    Ok(())
 }
 
 /// `in_dim * out_dim` with overflow checking.
@@ -325,61 +93,6 @@ fn checked_params(in_dim: usize, out_dim: usize) -> Result<usize> {
     in_dim
         .checked_mul(out_dim)
         .ok_or_else(|| DappleError::InvalidConfig("layer dims overflow".into()))
-}
-
-/// Reads the v2 optimizer section; buffer lengths come from the
-/// already-validated model dims, never from the file.
-fn read_optimizer(cur: &mut Cursor<'_>, model: &MlpModel) -> Result<Optimizer> {
-    match cur.u8()? {
-        0 => Ok(Optimizer::Sgd { lr: cur.f32()? }),
-        1 => {
-            let lr = cur.f32()?;
-            let beta = cur.f32()?;
-            let velocity = read_bufs(cur, model)?;
-            Ok(Optimizer::Momentum { lr, beta, velocity })
-        }
-        2 => {
-            let lr = cur.f32()?;
-            let beta1 = cur.f32()?;
-            let beta2 = cur.f32()?;
-            let eps = cur.f32()?;
-            let t = cur.u64()?;
-            let m = read_bufs(cur, model)?;
-            let v = read_bufs(cur, model)?;
-            Ok(Optimizer::Adam {
-                lr,
-                beta1,
-                beta2,
-                eps,
-                t,
-                m,
-                v,
-            })
-        }
-        tag => Err(DappleError::InvalidConfig(format!(
-            "unknown optimizer tag {tag}"
-        ))),
-    }
-}
-
-/// Reads one flat state buffer per layer, sized like its parameters.
-fn read_bufs(cur: &mut Cursor<'_>, model: &MlpModel) -> Result<Vec<Vec<f32>>> {
-    let mut bufs = Vec::with_capacity(model.layers.len());
-    for layer in &model.layers {
-        let n = layer.num_params();
-        let need = n
-            .checked_mul(4)
-            .ok_or_else(|| DappleError::InvalidConfig("state size overflows".into()))?;
-        if need > cur.remaining() {
-            return Err(DappleError::InvalidConfig("truncated checkpoint".into()));
-        }
-        let mut buf = Vec::with_capacity(n);
-        for _ in 0..n {
-            buf.push(cur.f32()?);
-        }
-        bufs.push(buf);
-    }
-    Ok(bufs)
 }
 
 // ---------------------------------------------------------------------
@@ -644,9 +357,7 @@ struct V3File {
 /// [`DappleError::InvalidConfig`]; shard corruption is a structured
 /// [`DappleError::ShardCorrupt`] naming the bad shard.
 fn parse_v3(bytes: &[u8]) -> Result<V3File> {
-    if read_version(bytes)? != V3 {
-        return Err(DappleError::InvalidConfig("not a v3 checkpoint".into()));
-    }
+    check_version(bytes)?;
     let mut cur = Cursor {
         bytes,
         pos: MAGIC.len() + 4,
@@ -777,10 +488,12 @@ fn parse_v3(bytes: &[u8]) -> Result<V3File> {
         seen[layer] = true;
         let version = cur.u64()?;
         let (in_dim, out_dim, _) = dims[layer];
-        let n_params = checked_params(in_dim, out_dim)? + out_dim;
-        let n_f32 = n_params * (1 + opt.num_bufs());
-        let need = n_f32
-            .checked_mul(4)
+        let n_params = checked_params(in_dim, out_dim)?
+            .checked_add(out_dim)
+            .ok_or_else(|| DappleError::InvalidConfig("layer dims overflow".into()))?;
+        let need = n_params
+            .checked_mul(1 + opt.num_bufs())
+            .and_then(|n| n.checked_mul(4))
             .and_then(|n| n.checked_add(8))
             .ok_or_else(|| DappleError::InvalidConfig("shard size overflows".into()))?;
         if need > cur.remaining() {
@@ -1013,8 +726,9 @@ pub fn v3_chain_to_state<B: AsRef<[u8]>>(chain: &[B]) -> Result<ShardedState> {
 /// `(kind, save_id, base_id)`. Errors on anything that is not a v3
 /// header — callers scanning a directory skip those files.
 pub fn v3_peek(bytes: &[u8]) -> Result<(SaveKind, u64, u64)> {
-    if bytes.len() < 25 || read_version(bytes)? != V3 {
-        return Err(DappleError::InvalidConfig("not a v3 checkpoint".into()));
+    check_version(bytes)?;
+    if bytes.len() < 25 {
+        return Err(DappleError::InvalidConfig("truncated checkpoint".into()));
     }
     let mut cur = Cursor {
         bytes,
@@ -1175,7 +889,8 @@ impl CheckpointStore {
     }
 }
 
-/// FNV-1a, 64-bit — dependency-free integrity check for v2 payloads.
+/// FNV-1a, 64-bit — dependency-free integrity check for the v3 header
+/// and each shard.
 fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
@@ -1250,142 +965,102 @@ mod tests {
         }
     }
 
-    #[test]
-    fn round_trip_is_exact() {
-        let model = MlpModel::new(&[5, 9, 7, 3], 1234);
-        let bytes = to_bytes(&model);
-        let restored = from_bytes(&bytes).unwrap();
-        assert_eq!(model, restored);
-    }
-
-    #[test]
-    fn v2_round_trip_is_exact_for_all_optimizers() {
-        let model = MlpModel::new(&[5, 9, 3], 1234);
-        let (x, t) = data::regression_batch(16, 5, 3, 3);
-        let mks: [fn(&MlpModel) -> Optimizer; 3] = [
-            |_| Optimizer::sgd(0.1),
-            |m| Optimizer::momentum(0.1, 0.9, m),
-            |m| Optimizer::adam(0.01, m),
-        ];
-        for mk in mks {
-            let mut model = model.clone();
-            let mut opt = mk(&model);
-            // Train a little so the state buffers are non-trivial.
-            for _ in 0..4 {
-                let (_, grads) = model.reference_grads(&x, &t, 2);
-                opt.step(&mut model, &grads);
-            }
-            let state = state_with(opt, model);
-            let bytes = state_to_bytes(&state);
-            let restored = state_from_bytes(&bytes).unwrap();
-            assert_eq!(state, restored);
-            // The model is also extractable through the v1 entry point.
-            assert_eq!(from_bytes(&bytes).unwrap(), state.model);
+    /// A hand-built v3 full save of one `in_dim x out_dim` layer with
+    /// momentum state and one shard carrying `payload`, every checksum
+    /// valid — so only the structural checks can reject it.
+    fn crafted(in_dim: u32, out_dim: u32, act: u8, payload: &[u8]) -> Vec<u8> {
+        let mut out = Vec::new();
+        out.extend_from_slice(MAGIC);
+        out.extend_from_slice(&V3.to_le_bytes());
+        out.push(0); // full
+        for id in [5u64, 5, 0, 0, 0] {
+            out.extend_from_slice(&id.to_le_bytes()); // save/base id, step, seed, cursor
         }
+        out.extend_from_slice(&16u32.to_le_bytes()); // batch_samples
+        for v in [1u32, 0, 1, 1] {
+            out.extend_from_slice(&v.to_le_bytes()); // one stage 0..1 x1
+        }
+        out.extend_from_slice(&1u32.to_le_bytes()); // one layer
+        out.extend_from_slice(&in_dim.to_le_bytes());
+        out.extend_from_slice(&out_dim.to_le_bytes());
+        out.push(act);
+        out.push(1); // momentum
+        out.extend_from_slice(&0.1f32.to_le_bytes());
+        out.extend_from_slice(&0.9f32.to_le_bytes());
+        out.extend_from_slice(&1u32.to_le_bytes()); // one shard
+        let sum = fnv1a64(&out);
+        out.extend_from_slice(&sum.to_le_bytes());
+        let record = out.len();
+        out.extend_from_slice(&0u32.to_le_bytes()); // layer 0
+        out.extend_from_slice(&1u64.to_le_bytes()); // version
+        out.extend_from_slice(payload);
+        let sum = fnv1a64(&out[record..]);
+        out.extend_from_slice(&sum.to_le_bytes());
+        out
     }
 
+    /// Dims whose parameter count fits a `usize` but whose payload size
+    /// with one momentum buffer wraps to 16 bytes — exactly what the
+    /// shard carries. The size arithmetic must fail cleanly instead of
+    /// overflowing (debug) or passing the bound and asking
+    /// `Vec::with_capacity` for the wrapped-away size (release).
     #[test]
-    fn v1_files_still_load_but_carry_no_state() {
-        let model = MlpModel::new(&[4, 6, 2], 7);
-        let v1 = to_bytes(&model);
-        assert_eq!(from_bytes(&v1).unwrap(), model);
+    fn crafted_header_with_wrapping_payload_size_is_rejected() {
+        let bytes = crafted(4_294_836_225, 2_147_549_185, 0, &[0u8; 16]);
         assert!(matches!(
-            state_from_bytes(&v1),
+            v3_chain_to_state(&[bytes]),
             Err(DappleError::InvalidConfig(_))
         ));
     }
 
+    /// Huge claimed dims are rejected by the remaining-bytes bound before
+    /// any large allocation is attempted — this test would OOM or take
+    /// minutes if `Vec::with_capacity` ran on `in_dim * out_dim`.
     #[test]
-    fn rejects_bad_magic_and_truncation() {
-        let model = MlpModel::new(&[2, 2], 1);
-        let mut bytes = to_bytes(&model);
-        assert!(from_bytes(&bytes[..bytes.len() - 1]).is_err());
-        assert!(from_bytes(&bytes[..3]).is_err());
-        bytes[0] = b'X';
-        assert!(from_bytes(&bytes).is_err());
-    }
-
-    #[test]
-    fn rejects_trailing_garbage_and_bad_version() {
-        let model = MlpModel::new(&[2, 2], 1);
-        let mut bytes = to_bytes(&model);
-        bytes.push(0);
-        assert!(from_bytes(&bytes).is_err());
-        let mut bytes = to_bytes(&model);
-        bytes[4] = 99;
-        assert!(from_bytes(&bytes).is_err());
-    }
-
-    #[test]
-    fn rejects_unknown_activation() {
-        let model = MlpModel::new(&[2, 2], 1);
-        let mut bytes = to_bytes(&model);
-        // Activation tag of the first layer sits after magic+ver+count+dims.
-        bytes[4 + 4 + 4 + 8] = 7;
-        assert!(from_bytes(&bytes).is_err());
-    }
-
-    /// A crafted header claiming huge layer dims must be rejected by the
-    /// remaining-bytes bound before any large allocation is attempted —
-    /// this test would OOM or take minutes if `Vec::with_capacity` ran
-    /// on the attacker-controlled `in_dim * out_dim` product.
-    #[test]
-    fn adversarial_dims_rejected_before_allocation() {
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(MAGIC);
-        bytes.extend_from_slice(&V1.to_le_bytes());
-        bytes.extend_from_slice(&1u32.to_le_bytes()); // one layer
-        bytes.extend_from_slice(&u32::MAX.to_le_bytes()); // in_dim
-        bytes.extend_from_slice(&u32::MAX.to_le_bytes()); // out_dim
-        bytes.push(0); // activation
-        bytes.extend_from_slice(&[0u8; 64]); // far too few payload bytes
+    fn huge_dims_rejected_before_allocation() {
+        let bytes = crafted(1 << 20, 1 << 20, 0, &[0u8; 64]);
         assert!(matches!(
-            from_bytes(&bytes),
-            Err(DappleError::InvalidConfig(_))
-        ));
-        // Same header under v2 (the checksum check fires first; append a
-        // valid checksum so the layer bound is what rejects it).
-        bytes[4..8].copy_from_slice(&V2.to_le_bytes());
-        let sum = fnv1a64(&bytes);
-        bytes.extend_from_slice(&sum.to_le_bytes());
-        assert!(matches!(
-            state_from_bytes(&bytes),
-            Err(DappleError::InvalidConfig(_))
+            v3_chain_to_state(&[bytes]),
+            Err(DappleError::ShardCorrupt { .. })
         ));
     }
 
-    /// Every single-byte corruption of a v2 file must fail the checksum
-    /// (or an earlier structural check) — exhaustive over a small state.
     #[test]
-    fn v2_detects_any_single_byte_corruption_exhaustively() {
-        let model = MlpModel::new(&[2, 3, 2], 5);
-        let opt = Optimizer::adam(0.01, &model);
-        let bytes = state_to_bytes(&state_with(opt, model));
-        for i in 0..bytes.len() {
+    fn rejects_bad_magic_truncation_version_and_trailing_bytes() {
+        let model = MlpModel::new(&[2, 2], 1);
+        let state = state_with(Optimizer::sgd(0.1), model);
+        let bytes = v3_full_to_bytes(&state, &part(&[0..1], &[1]), &[1], 1);
+        assert!(v3_chain_to_state(&[&bytes]).is_ok());
+        assert!(v3_chain_to_state(&[&bytes[..bytes.len() - 1]]).is_err());
+        assert!(v3_chain_to_state(&[&bytes[..3]]).is_err());
+        assert!(v3_peek(&bytes[..3]).is_err());
+        let mut bad = bytes.clone();
+        bad[0] = b'X';
+        assert!(v3_chain_to_state(&[&bad]).is_err());
+        assert!(v3_peek(&bad).is_err());
+        for version in [1u32, 2, 99] {
             let mut bad = bytes.clone();
-            bad[i] ^= 0x01;
-            assert!(
-                matches!(state_from_bytes(&bad), Err(DappleError::InvalidConfig(_))),
-                "corruption at byte {i} was not rejected"
-            );
+            bad[4..8].copy_from_slice(&version.to_le_bytes());
+            assert!(v3_chain_to_state(&[&bad]).is_err(), "version {version}");
+            assert!(v3_peek(&bad).is_err(), "version {version}");
         }
+        let mut bad = bytes.clone();
+        bad.push(0);
+        assert!(matches!(
+            v3_chain_to_state(&[&bad]),
+            Err(DappleError::InvalidConfig(_))
+        ));
     }
 
     #[test]
-    fn checkpoint_preserves_training_state() {
-        let mut model = MlpModel::new(&[4, 8, 2], 7);
-        let (x, t) = data::regression_batch(16, 4, 2, 7);
-        for _ in 0..5 {
-            model.reference_step(&x, &t, 2, 0.1);
-        }
-        let restored = from_bytes(&to_bytes(&model)).unwrap();
-        // Continuing training from the restored model is identical.
-        let mut a = model.clone();
-        let mut b = restored;
-        let la = a.reference_step(&x, &t, 2, 0.1).loss;
-        let lb = b.reference_step(&x, &t, 2, 0.1).loss;
-        assert_eq!(la, lb);
-        assert_eq!(a, b);
+    fn rejects_unknown_activation_tag() {
+        // A 1x1 layer: weight, bias, then one velocity buffer of 2.
+        let payload = [0u8; 16];
+        assert!(v3_chain_to_state(&[crafted(1, 1, 2, &payload)]).is_ok());
+        assert!(matches!(
+            v3_chain_to_state(&[crafted(1, 1, 7, &payload)]),
+            Err(DappleError::InvalidConfig(_))
+        ));
     }
 
     fn part(bounds: &[Range<usize>], reps: &[usize]) -> Partition {
@@ -1427,9 +1102,6 @@ mod tests {
             assert_eq!(sharded.partition, partition);
             assert_eq!(sharded.versions, versions);
             assert_eq!(sharded.save_id, 42);
-            // v3 also loads through the generic entry points.
-            assert_eq!(state_from_bytes(&bytes).unwrap(), state);
-            assert_eq!(from_bytes(&bytes).unwrap(), state.model);
         }
     }
 
@@ -1489,7 +1161,6 @@ mod tests {
         let delta = v3_delta_to_bytes(&state, &partition, &v2s, &since, 11, 10);
         // A delta alone is not a resumable checkpoint.
         assert!(v3_chain_to_state(&[&delta]).is_err());
-        assert!(state_from_bytes(&delta).is_err());
         // A delta built on a different full save is rejected.
         let other = v3_full_to_bytes(&state, &partition, &versions, 20);
         assert!(v3_chain_to_state(&[&other, &delta]).is_err());
@@ -1593,11 +1264,10 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// The v1 test above only covers weights. With stateful optimizers a
-    /// v2 round-trip must also preserve momentum/Adam moments: continue
-    /// training on the original and the restored state and demand a
-    /// bit-identical trajectory (dropping the moments would visibly
-    /// diverge within a step or two).
+    /// With stateful optimizers a round-trip must preserve momentum/Adam
+    /// moments: continue training on the original and the restored state
+    /// and demand a bit-identical trajectory (dropping the moments would
+    /// visibly diverge within a step or two).
     #[test]
     fn checkpoint_preserves_optimizer_state() {
         let (x, t) = data::regression_batch(16, 4, 2, 7);
@@ -1613,7 +1283,8 @@ mod tests {
                 opt.step(&mut model, &grads);
             }
             let state = state_with(opt, model);
-            let mut restored = state_from_bytes(&state_to_bytes(&state)).unwrap();
+            let bytes = v3_full_to_bytes(&state, &part(&[0..2], &[1]), &[1, 1], 1);
+            let mut restored = v3_chain_to_state(&[bytes]).unwrap().state;
             let mut orig = state.clone();
             for _ in 0..3 {
                 for s in [&mut orig, &mut restored] {

@@ -84,11 +84,6 @@ pub struct EngineConfig {
     /// What to do when a micro-batch's gradient contribution contains
     /// NaN/Inf values.
     pub nan_policy: NanPolicy,
-    /// Recycle boundary-message buffers through a per-worker free list
-    /// (zero steady-state allocations on sends). `false` restores the
-    /// seed allocation-per-message semantics; results are bit-identical
-    /// either way (see tests/determinism.rs).
-    pub buffer_reuse: bool,
     /// Record per-worker span traces ([`StepTrace`]) during the step.
     /// Off by default: with tracing off the hot path takes no timestamps
     /// and performs no extra allocations (asserted in
@@ -112,7 +107,6 @@ impl EngineConfig {
             loss: LossKind::Mse,
             recv_timeout: Duration::from_secs(5),
             nan_policy: NanPolicy::AbortStep,
-            buffer_reuse: true,
             tracing: false,
         }
     }
@@ -178,16 +172,13 @@ pub struct StepOutcome {
     /// over stage replicas.
     pub zeroed_values: usize,
     /// Boundary buffers served from the per-worker free lists, summed
-    /// over all workers. Zero when [`EngineConfig::buffer_reuse`] is off.
+    /// over all workers.
     pub pool_hits: usize,
     /// Boundary buffers that had to be freshly allocated, summed over
-    /// all workers. With reuse on, steady-state 1F1B misses only during
-    /// pipeline warmup — the count is independent of the number of
-    /// micro-batches (asserted in tests/alloc_counts.rs).
+    /// all workers. Steady-state 1F1B misses only during pipeline warmup
+    /// — the count is independent of the number of micro-batches
+    /// (asserted in tests/alloc_counts.rs).
     pub pool_misses: usize,
-    /// The measured span timeline of this step when
-    /// [`EngineConfig::tracing`] is on; `None` otherwise.
-    pub trace: Option<StepTrace>,
 }
 
 /// The pipeline trainer: a model plus its parallelization config.
@@ -248,7 +239,7 @@ impl PipelineTrainer {
         }
         let workers: usize = cfg.replication.iter().sum();
         let slots = (0..workers)
-            .map(|_| Mutex::new(WorkerSlot::new(cfg.buffer_reuse)))
+            .map(|_| Mutex::new(WorkerSlot::default()))
             .collect();
         Ok(PipelineTrainer {
             model,
@@ -290,34 +281,23 @@ impl PipelineTrainer {
     /// weights. Returns `(loss, per-layer grads)` — directly comparable
     /// with [`MlpModel::reference_grads`].
     pub fn step_grads(&self, x: &Tensor, target: &Tensor) -> Result<(f32, Vec<DenseGrads>)> {
-        let out = self.step_grads_with_faults(x, target, &FaultPlan::new())?;
+        let out = self.step_with_trace(x, target, &FaultPlan::new()).0?;
         Ok((out.loss, out.grads))
     }
 
-    /// [`Self::step_grads`] under a fault-injection plan. With an empty
-    /// plan this is bit-identical to the plain path; with faults it
-    /// returns the structured error of the root cause (or, under a
-    /// lenient [`NanPolicy`], a [`StepOutcome`] describing what was
-    /// skipped or zeroed). The model is never modified here, so the
-    /// trainer remains usable after a failed step.
-    pub fn step_grads_with_faults(
-        &self,
-        x: &Tensor,
-        target: &Tensor,
-        faults: &FaultPlan,
-    ) -> Result<StepOutcome> {
-        let (result, trace) = self.step_with_trace(x, target, faults);
-        result.map(|mut out| {
-            out.trace = trace;
-            out
-        })
-    }
-
-    /// [`Self::step_grads_with_faults`] with the measured trace surfaced
-    /// separately, so a *failed* step still yields its partial timeline:
-    /// spans recorded before the failure survive in the per-worker rings
-    /// and are drained here regardless of the step's outcome. With
-    /// [`EngineConfig::tracing`] off the trace is always `None`.
+    /// One pipelined gradient computation under a fault-injection plan,
+    /// without updating weights. With an empty plan it is bit-identical
+    /// to [`Self::step_grads`]; with faults it returns the structured
+    /// error of the root cause (or, under a lenient [`NanPolicy`], a
+    /// [`StepOutcome`] describing what was skipped or zeroed). The model
+    /// is never modified here, so the trainer remains usable after a
+    /// failed step.
+    ///
+    /// The measured trace is returned beside the result, so a *failed*
+    /// step still yields its partial timeline: spans recorded before the
+    /// failure survive in the per-worker rings and are drained here
+    /// regardless of the step's outcome. With [`EngineConfig::tracing`]
+    /// off the trace is always `None`.
     pub fn step_with_trace(
         &self,
         x: &Tensor,
@@ -550,7 +530,6 @@ impl PipelineTrainer {
                 zeroed_values,
                 pool_hits,
                 pool_misses,
-                trace: None,
             }),
             trace,
         )
@@ -560,48 +539,6 @@ impl PipelineTrainer {
     pub fn train_step(&mut self, x: &Tensor, target: &Tensor) -> Result<StepStats> {
         let (loss, grads) = self.step_grads(x, target)?;
         self.model.apply(&grads, self.cfg.lr);
-        self.recycle_grads(grads);
-        Ok(StepStats {
-            loss,
-            samples: x.rows,
-        })
-    }
-
-    /// [`Self::train_step`] returning the step's measured trace, with the
-    /// optimizer apply recorded as an `OptimStep` span on the same clock.
-    /// The trace is `None` unless [`EngineConfig::tracing`] is on.
-    pub fn train_step_traced(
-        &mut self,
-        x: &Tensor,
-        target: &Tensor,
-    ) -> Result<(StepStats, Option<StepTrace>)> {
-        let (result, mut trace) = self.step_with_trace(x, target, &FaultPlan::new());
-        let out = result?;
-        let t0 = Instant::now();
-        self.model.apply(&out.grads, self.cfg.lr);
-        if let Some(tr) = trace.as_mut() {
-            tr.record_coord(None, SpanKind::OptimStep, 0, t0, Instant::now());
-        }
-        self.recycle_grads(out.grads);
-        Ok((
-            StepStats {
-                loss: out.loss,
-                samples: x.rows,
-            },
-            trace,
-        ))
-    }
-
-    /// One synchronous training step under an explicit optimizer
-    /// (momentum, Adam, ...) instead of the config's plain-SGD rate.
-    pub fn train_step_with(
-        &mut self,
-        x: &Tensor,
-        target: &Tensor,
-        optimizer: &mut crate::optim::Optimizer,
-    ) -> Result<StepStats> {
-        let (loss, grads) = self.step_grads(x, target)?;
-        optimizer.step(&mut self.model, &grads);
         self.recycle_grads(grads);
         Ok(StepStats {
             loss,
@@ -703,10 +640,9 @@ const POOL_CAP_PER_SHAPE: usize = 16;
 /// `take` hands out a recycled buffer when one is available (a *hit*)
 /// and falls back to a fresh allocation otherwise (a *miss*); `put`
 /// retires a spent tensor for reuse. Recycled contents are arbitrary:
-/// every take site must fully overwrite the buffer. With `enabled ==
-/// false`, every take allocates and every put drops — exactly the seed
-/// allocation-per-message semantics, kept selectable so the determinism
-/// suite can assert the two paths are bit-identical.
+/// every take site must fully overwrite the buffer (tests/determinism.rs
+/// checks that a trainer with dirty pools steps bit-identically to a
+/// fresh one).
 ///
 /// The pool covers both the boundary messages and the compute path: the
 /// per-layer forward chain and the backward input-gradients draw from the
@@ -720,34 +656,18 @@ const POOL_CAP_PER_SHAPE: usize = 16;
 /// A worker sees only a handful of distinct shapes, so buckets live in
 /// a flat `Vec` scanned linearly — cheaper than hashing the shape key
 /// on every message, and lookups allocate nothing.
+#[derive(Default)]
 struct TensorPool {
-    enabled: bool,
     free: Vec<((usize, usize), Vec<Tensor>)>,
     hits: usize,
     misses: usize,
 }
 
 impl TensorPool {
-    fn new(enabled: bool) -> Self {
-        TensorPool {
-            enabled,
-            free: Vec::new(),
-            hits: 0,
-            misses: 0,
-        }
-    }
-
     /// Resets the per-step hit/miss counters (the free lists persist).
     fn begin_step(&mut self) {
         self.hits = 0;
         self.misses = 0;
-    }
-
-    /// Whether recycling is on. Callers that have a cheaper non-pooled
-    /// path (e.g. an allocating kernel that skips the zero-fill a recycled
-    /// buffer needs) branch on this instead of paying `take`'s miss.
-    fn reuses(&self) -> bool {
-        self.enabled
     }
 
     /// A buffer of exactly `rows x cols`; contents are arbitrary.
@@ -767,9 +687,6 @@ impl TensorPool {
 
     /// Retires a spent tensor into the free list.
     fn put(&mut self, t: Tensor) {
-        if !self.enabled {
-            return;
-        }
         let shape = (t.rows, t.cols);
         let slot = match self.free.iter_mut().find(|(s, _)| *s == shape) {
             Some((_, list)) => list,
@@ -1370,17 +1287,11 @@ fn forward_stage(layers: &[Dense], input: &Tensor, ys: &mut Vec<Tensor>, pool: &
     ys.reserve(layers.len());
     for (i, layer) in layers.iter().enumerate() {
         let x = if i == 0 { input } else { &ys[i - 1] };
-        // With reuse on, the per-layer outputs come from the pool (the
-        // backward pass retires the whole chain, so steady-state forwards
-        // allocate nothing); with reuse off this is exactly the seed
-        // allocate-per-tensor path.
-        let y = if pool.reuses() {
-            let mut y = pool.take(x.rows, layer.out_dim());
-            layer.forward_into(x, &mut y);
-            y
-        } else {
-            layer.forward(x)
-        };
+        // The per-layer outputs come from the pool: the backward pass
+        // retires the whole chain, so steady-state forwards allocate
+        // nothing.
+        let mut y = pool.take(x.rows, layer.out_dim());
+        layer.forward_into(x, &mut y);
         ys.push(y);
     }
 }
@@ -1408,14 +1319,9 @@ fn backward_stage(
     let mut cur = gy;
     for i in (0..layers.len()).rev() {
         let x = if i == 0 { input } else { &ys[i - 1] };
-        // With reuse on, `dx` comes from the pool without zeroing (the
-        // kernel overwrites every element); with reuse off it is a fresh
-        // allocation, as in the seed path.
-        let mut dx = if pool.reuses() {
-            pool.take(cur.rows, layers[i].in_dim())
-        } else {
-            Tensor::zeros(cur.rows, layers[i].in_dim())
-        };
+        // `dx` comes from the pool without zeroing: the kernel
+        // overwrites every element.
+        let mut dx = pool.take(cur.rows, layers[i].in_dim());
         layers[i].backward_grads_into(x, &ys[i], &mut cur, &mut dx, &mut contrib[i], pack);
         let used = std::mem::replace(&mut cur, dx);
         if spent.is_none() {
@@ -1431,7 +1337,9 @@ fn backward_stage(
 }
 
 /// Everything one stage-replica worker keeps across steps; see
-/// [`PipelineTrainer`]'s `slots`.
+/// [`PipelineTrainer`]'s `slots`. The default slot is empty; the first
+/// step shapes its gradient buffers.
+#[derive(Default)]
 struct WorkerSlot {
     /// Boundary and compute buffer free lists.
     pool: TensorPool,
@@ -1442,18 +1350,6 @@ struct WorkerSlot {
     contrib: Vec<DenseGrads>,
     /// Transpose scratch of the backward `dx = dz W^T` kernels.
     pack: Vec<f32>,
-}
-
-impl WorkerSlot {
-    /// An empty slot; the first step shapes its gradient buffers.
-    fn new(buffer_reuse: bool) -> Self {
-        WorkerSlot {
-            pool: TensorPool::new(buffer_reuse),
-            acc: Vec::new(),
-            contrib: Vec::new(),
-            pack: Vec::new(),
-        }
-    }
 }
 
 /// Locks a trainer-owned mutex, clearing poison: a worker that panics
@@ -1628,7 +1524,6 @@ mod tests {
                     loss: LossKind::Mse,
                     recv_timeout: Duration::from_secs(5),
                     nan_policy: NanPolicy::AbortStep,
-                    buffer_reuse: true,
                     tracing: false,
                 };
                 let trainer = PipelineTrainer::new(model.clone(), cfg).unwrap();
@@ -1660,7 +1555,6 @@ mod tests {
             loss: LossKind::Mse,
             recv_timeout: Duration::from_secs(5),
             nan_policy: NanPolicy::AbortStep,
-            buffer_reuse: true,
             tracing: false,
         };
         let trainer = PipelineTrainer::new(model, cfg).unwrap();
@@ -1687,7 +1581,6 @@ mod tests {
                 loss: LossKind::Mse,
                 recv_timeout: Duration::from_secs(5),
                 nan_policy: NanPolicy::AbortStep,
-                buffer_reuse: true,
                 tracing: false,
             };
             let trainer = PipelineTrainer::new(model.clone(), cfg).unwrap();
@@ -1740,7 +1633,6 @@ mod tests {
             loss: LossKind::Mse,
             recv_timeout: Duration::from_secs(5),
             nan_policy: NanPolicy::AbortStep,
-            buffer_reuse: true,
             tracing: false,
         };
         let trainer = PipelineTrainer::new(model, cfg).unwrap();
@@ -1800,7 +1692,6 @@ mod tests {
             loss: LossKind::SoftmaxXent,
             recv_timeout: Duration::from_secs(5),
             nan_policy: NanPolicy::AbortStep,
-            buffer_reuse: true,
             tracing: false,
         };
         let mut trainer = PipelineTrainer::new(model, cfg).unwrap();
@@ -1816,8 +1707,8 @@ mod tests {
         assert!(last < 0.6 * first, "{first} -> {last}");
     }
 
-    /// Adam through the pipeline: train_step_with drives the optimizer on
-    /// pipeline gradients and converges faster than plain SGD here.
+    /// Adam through the pipeline: the optimizer steps on pipeline
+    /// gradients and converges faster than plain SGD here.
     #[test]
     fn pipeline_with_adam_optimizer() {
         use crate::optim::Optimizer;
@@ -1831,7 +1722,10 @@ mod tests {
         let mut adam_last = 0.0;
         for _ in 0..60 {
             sgd_last = sgd_pipe.train_step(&x, &t).unwrap().loss;
-            adam_last = adam_pipe.train_step_with(&x, &t, &mut adam).unwrap().loss;
+            let (loss, grads) = adam_pipe.step_grads(&x, &t).unwrap();
+            adam.step(&mut adam_pipe.model, &grads);
+            adam_pipe.recycle_grads(grads);
+            adam_last = loss;
         }
         assert!(adam_last < sgd_last, "adam {adam_last} vs sgd {sgd_last}");
     }
@@ -1866,7 +1760,7 @@ mod tests {
         let mut trainer = PipelineTrainer::new(model, cfg).unwrap();
         let (x, t) = data::regression_batch(24, 5, 3, 9);
         let plan = FaultPlan::new().with_fault(1, 0, 2, FaultKind::Panic);
-        match trainer.step_grads_with_faults(&x, &t, &plan) {
+        match trainer.step_with_trace(&x, &t, &plan).0 {
             Err(DappleError::WorkerPanicked {
                 stage,
                 replica,
@@ -1879,27 +1773,6 @@ mod tests {
         }
         // The model was not touched; a clean step still works.
         trainer.train_step(&x, &t).unwrap();
-    }
-
-    /// An empty fault plan goes through the identical code path and
-    /// produces bit-identical results to the plain entry point.
-    #[test]
-    fn empty_fault_plan_is_bit_identical() {
-        let model = model6();
-        let cfg = EngineConfig::straight(vec![0..2, 2..4, 4..6], 4, 0.1);
-        let trainer = PipelineTrainer::new(model, cfg).unwrap();
-        let (x, t) = data::regression_batch(24, 5, 3, 9);
-        let (loss_a, grads_a) = trainer.step_grads(&x, &t).unwrap();
-        let out = trainer
-            .step_grads_with_faults(&x, &t, &FaultPlan::new())
-            .unwrap();
-        assert_eq!(loss_a.to_bits(), out.loss.to_bits());
-        assert_eq!(out.skipped_micro_batches, 0);
-        assert_eq!(out.zeroed_values, 0);
-        for (a, b) in grads_a.iter().zip(&out.grads) {
-            let (fa, fb) = (a.to_flat(), b.to_flat());
-            assert!(fa.iter().zip(&fb).all(|(p, q)| p.to_bits() == q.to_bits()));
-        }
     }
 
     /// Regression for the matmul zero-skip bug: NaN weights combined
@@ -1946,7 +1819,6 @@ mod tests {
             loss: LossKind::Mse,
             recv_timeout: Duration::from_secs(5),
             nan_policy: NanPolicy::AbortStep,
-            buffer_reuse: true,
             tracing: false,
         };
         let trainer = PipelineTrainer::new(model, cfg).unwrap();
@@ -2054,7 +1926,6 @@ mod tests {
             loss: LossKind::Mse,
             recv_timeout: Duration::from_secs(5),
             nan_policy: NanPolicy::AbortStep,
-            buffer_reuse: true,
             tracing: false,
         };
         let trainer = PipelineTrainer::new(model, cfg).unwrap();

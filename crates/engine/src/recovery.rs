@@ -28,10 +28,11 @@
 //!   gradient average is implicitly rescaled to the surviving replica
 //!   count, since every row is still processed exactly once), and the
 //!   reconfiguration is recorded as a [`RecoveryEventKind::ReplicaDropped`].
-//! * Checkpoint v2 ([`crate::checkpoint::state_to_bytes`]) carries the
-//!   full [`TrainState`]; [`TrainLoop::resume`] reproduces a trajectory
-//!   bit-identical to an uninterrupted run (asserted by the
-//!   kill-at-step-k proptests in `tests/recovery.rs`).
+//! * A v3 checkpoint ([`TrainLoop::save_bytes`], or a
+//!   [`crate::checkpoint::CheckpointStore`] on disk) carries the full
+//!   [`TrainState`] and the active partition; [`TrainLoop::resume_chain`]
+//!   reproduces a trajectory bit-identical to an uninterrupted run
+//!   (asserted by the kill-at-step-k proptests in `tests/recovery.rs`).
 //! * **Elastic recovery** ([`Supervisor::with_elastic`]) closes the
 //!   escalation ladder: *degraded → re-plan → migrate → full speed*.
 //!   Degraded mode is first aid, not a steady state — it leaves a
@@ -189,34 +190,18 @@ impl TrainLoop {
         Ok(lp)
     }
 
-    /// Resumes from checkpoint bytes of any version. For v3 files the
-    /// checkpointed partition **overrides** `cfg`'s stage bounds and
-    /// replication: a checkpoint taken while degraded resumes degraded,
-    /// not in the shape the caller remembers (see
-    /// [`TrainLoop::resume_chain`]).
-    pub fn resume_bytes(bytes: &[u8], cfg: EngineConfig) -> Result<Self> {
-        if checkpoint::v3_peek(bytes).is_ok() {
-            return TrainLoop::resume_chain(&[bytes], cfg);
-        }
-        TrainLoop::from_state(checkpoint::state_from_bytes(bytes)?, cfg)
-    }
-
-    /// Resumes from a v3 base + delta chain. The partition stored in the
-    /// newest file replaces `cfg.stage_bounds` / `cfg.replication`; all
-    /// other knobs (schedule, timeouts, NaN policy, ...) come from `cfg`.
+    /// Resumes from a v3 base + delta chain (a single full save is a
+    /// chain of one). The partition stored in the newest file replaces
+    /// `cfg.stage_bounds` / `cfg.replication` — a checkpoint taken while
+    /// degraded resumes degraded, not in the shape the caller remembers;
+    /// all other knobs (schedule, timeouts, NaN policy, ...) come from
+    /// `cfg`.
     pub fn resume_chain<B: AsRef<[u8]>>(chain: &[B], cfg: EngineConfig) -> Result<Self> {
         let sharded = checkpoint::v3_chain_to_state(chain)?;
         let mut cfg = cfg;
         cfg.stage_bounds = sharded.partition.stage_bounds.clone();
         cfg.replication = sharded.partition.replication.clone();
         TrainLoop::from_state(sharded.state, cfg)
-    }
-
-    /// Resumes from a checkpoint file (any version).
-    pub fn resume(path: &std::path::Path, cfg: EngineConfig) -> Result<Self> {
-        let bytes = std::fs::read(path)
-            .map_err(|e| DappleError::InvalidConfig(format!("cannot read checkpoint: {e}")))?;
-        TrainLoop::resume_bytes(&bytes, cfg)
     }
 
     /// Completed training steps.
@@ -309,15 +294,13 @@ impl TrainLoop {
         }
     }
 
-    /// Serializes the full state as v2 checkpoint bytes.
+    /// Serializes the full state and the active partition as a v3 full
+    /// save, resumable via [`TrainLoop::resume_chain`]. Every layer
+    /// changes on every step, so each shard's version is the step count,
+    /// which also serves as the save id.
     pub fn save_bytes(&self) -> Vec<u8> {
-        checkpoint::state_to_bytes(&self.state())
-    }
-
-    /// Writes a v2 checkpoint file.
-    pub fn save(&self, path: &std::path::Path) -> Result<()> {
-        std::fs::write(path, self.save_bytes())
-            .map_err(|e| DappleError::InvalidConfig(format!("cannot write checkpoint: {e}")))
+        let versions = vec![self.step; self.trainer.model.num_layers()];
+        checkpoint::v3_full_to_bytes(&self.state(), &self.partition(), &versions, self.step)
     }
 
     /// One transactional training step under a fault plan.

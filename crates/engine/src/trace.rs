@@ -22,7 +22,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Sentinel for spans not tied to a micro-batch (AllReduce, OptimStep).
+/// Sentinel for spans not tied to a micro-batch (AllReduce).
 pub const NO_MICRO: u32 = u32::MAX;
 
 /// What a recorded span measures.
@@ -40,8 +40,6 @@ pub enum SpanKind {
     CommRecvWait,
     /// Ring AllReduce of a replicated stage's gradients.
     AllReduce,
-    /// The optimizer's weight update after gradient sync.
-    OptimStep,
 }
 
 impl SpanKind {
@@ -53,7 +51,6 @@ impl SpanKind {
             SpanKind::Recompute => "recompute",
             SpanKind::CommSend | SpanKind::CommRecvWait => "comm",
             SpanKind::AllReduce => "allreduce",
-            SpanKind::OptimStep => "optim",
         }
     }
 
@@ -200,7 +197,7 @@ pub struct WorkerTrace {
     pub dropped: usize,
 }
 
-/// A coordinator-side span (gradient AllReduce, optimizer step).
+/// A coordinator-side span (a replicated stage's gradient AllReduce).
 #[derive(Debug, Clone, Copy)]
 pub struct CoordSpan {
     /// Stage the span belongs to; `None` for whole-model spans.
@@ -214,13 +211,13 @@ pub struct CoordSpan {
 pub struct StepTrace {
     /// Per-worker spans, in spawn order (stage-major, replica-minor).
     pub workers: Vec<WorkerTrace>,
-    /// Coordinator spans (AllReduce per replicated stage, OptimStep).
+    /// Coordinator spans (AllReduce per replicated stage).
     pub coord: Vec<CoordSpan>,
     /// Replication factor per stage (fixes the Chrome `tid` layout).
     pub replication: Vec<usize>,
     /// The step epoch all span timestamps are relative to. Kept so spans
-    /// that happen after the workers join (optimizer apply) can be stamped
-    /// on the same clock.
+    /// that happen after the workers join (the replica gradient sync) can
+    /// be stamped on the same clock.
     pub(crate) epoch: Instant,
 }
 
@@ -311,7 +308,6 @@ impl StepTrace {
             SpanKind::CommSend => (format!("send{micro_name}"), true),
             SpanKind::CommRecvWait => (format!("recv-wait{micro_name}"), true),
             SpanKind::AllReduce => ("AllReduce".to_string(), false),
-            SpanKind::OptimStep => ("OptimStep".to_string(), false),
         };
         let mut args = vec![("replica", ChromeArg::Int(replica as u64))];
         if s.micro != NO_MICRO {
@@ -364,7 +360,6 @@ impl StepTrace {
                 SpanKind::CommRecvWait => m.comm_wait_ns += s.dur_ns(),
                 SpanKind::CommSend => m.send_ns += s.dur_ns(),
                 SpanKind::AllReduce => m.allreduce_ns += s.dur_ns(),
-                SpanKind::OptimStep => {}
             }
         }
         let makespan_ns = t_end.saturating_sub(if t0 == u64::MAX { 0 } else { t0 });
@@ -460,7 +455,8 @@ impl StepMetrics {
 pub struct RecoveryStepMetrics {
     /// Failed attempts that were retried.
     pub retries: usize,
-    /// Wall-clock time spent restoring pre-step snapshots, ns.
+    /// Wall-clock time spent rolling back failed attempts (restoring the
+    /// step counter and data cursor), ns.
     pub rollback_ns: u64,
     /// Wall-clock time serializing checkpoints after this step, ns.
     pub checkpoint_save_ns: u64,
@@ -618,14 +614,15 @@ mod tests {
         let mut t = trace_fixture();
         let e = t.epoch;
         t.record_coord(Some(1), SpanKind::AllReduce, 4096, e, e);
-        t.record_coord(None, SpanKind::OptimStep, 0, e, e);
+        t.record_coord(None, SpanKind::AllReduce, 0, e, e);
         let json = t.to_chrome_trace();
         assert!(json.contains(r#""name":"F0""#));
         assert!(json.contains(r#""name":"recv-wait0""#));
         assert!(json.contains(r#""cat":"comm""#));
         // Comm spans sit on the odd tid row.
         assert!(json.contains(r#""tid":1"#));
-        // Coordinator OptimStep lands on the synthetic pid row.
+        // A coordinator span without a stage lands on the synthetic pid
+        // row.
         assert!(json.contains(r#""pid":2"#));
         assert!(json.contains(r#""args":{"replica":0,"micro":0}"#));
         assert!(json.contains(r#""bytes":4096"#));

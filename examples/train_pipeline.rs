@@ -42,7 +42,6 @@ fn main() {
         loss: dapple::engine::LossKind::Mse,
         recv_timeout: std::time::Duration::from_secs(5),
         nan_policy: dapple::engine::NanPolicy::AbortStep,
-        buffer_reuse: true,
         tracing: false,
     };
     let mut pipe = PipelineTrainer::new(MlpModel::new(&dims, 7), straight).unwrap();
@@ -59,7 +58,6 @@ fn main() {
         loss: dapple::engine::LossKind::Mse,
         recv_timeout: std::time::Duration::from_secs(5),
         nan_policy: dapple::engine::NanPolicy::AbortStep,
-        buffer_reuse: true,
         tracing: false,
     };
     let mut hyb = PipelineTrainer::new(MlpModel::new(&dims, 7), hybrid).unwrap();

@@ -1,9 +1,9 @@
 //! Property: with an empty fault plan the pipeline runtime is bit-exact
 //! deterministic. For random stage splits, replication factors,
 //! micro-batch counts, schedules and in-flight caps, repeated steps on
-//! the same trainer produce bit-identical losses and gradients — and the
-//! fault-injection entry point with an empty plan is the identity
-//! wrapper around the plain step.
+//! the same trainer produce bit-identical losses and gradients, and so
+//! does a trainer whose recycled buffers hold another batch's values,
+//! stepped through the fault-injection entry point with an empty plan.
 //!
 //! This rests on the kernels' canonical accumulation order (see
 //! `crates/engine/src/tensor.rs` docs and `tests/kernel_reference.rs`):
@@ -42,7 +42,6 @@ fn build_cfg(
     sched_idx: usize,
     recompute_bit: usize,
     flight_idx: usize,
-    buffer_reuse: bool,
 ) -> EngineConfig {
     let stage_bounds = splits(split_idx);
     let micro_batches = [1usize, 2, 3, 4, 6, 8][micro_idx];
@@ -73,7 +72,6 @@ fn build_cfg(
         loss: LossKind::Mse,
         recv_timeout: Duration::from_secs(5),
         nan_policy: NanPolicy::AbortStep,
-        buffer_reuse,
         tracing: false,
     }
 }
@@ -84,14 +82,13 @@ fn build_cfg(
 #[test]
 fn traced_runs_have_identical_event_order() {
     let event_orders = || {
-        let mut cfg = build_cfg(3, 3, 0b10, 1, 0, 2, true);
+        let mut cfg = build_cfg(3, 3, 0b10, 1, 0, 2);
         cfg.tracing = true;
         let trainer = PipelineTrainer::new(MlpModel::new(&DIMS, 77), cfg).unwrap();
         let (x, t) = data::regression_batch(BATCH, DIMS[0], *DIMS.last().unwrap(), 9);
-        let out = trainer
-            .step_grads_with_faults(&x, &t, &FaultPlan::new())
-            .unwrap();
-        let trace = out.trace.expect("tracing on");
+        let (out, trace) = trainer.step_with_trace(&x, &t, &FaultPlan::new());
+        out.unwrap();
+        let trace = trace.expect("tracing on");
         trace
             .workers
             .iter()
@@ -115,6 +112,11 @@ fn traced_runs_have_identical_event_order() {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
+    /// Repeated steps, and a step through the fault-plan entry point on
+    /// a trainer whose pools and recycled gradient storage still hold
+    /// another batch's values, all match a fresh trainer's first step bit
+    /// for bit — i.e. every recycled buffer is fully overwritten before
+    /// use.
     #[test]
     fn no_fault_steps_are_bit_identical(
         split_idx in 0usize..5,
@@ -124,22 +126,19 @@ proptest! {
         recompute_bit in 0usize..2,
         flight_idx in 0usize..3,
     ) {
-        let cfg = build_cfg(
-            split_idx,
-            micro_idx,
-            rep_bits,
-            sched_idx,
-            recompute_bit,
-            flight_idx,
-            true,
-        );
+        let cfg = build_cfg(split_idx, micro_idx, rep_bits, sched_idx, recompute_bit, flight_idx);
+        let out_dim = *DIMS.last().unwrap();
+        let (x, t) = data::regression_batch(BATCH, DIMS[0], out_dim, 9);
 
-        let trainer = PipelineTrainer::new(MlpModel::new(&DIMS, 77), cfg).unwrap();
-        let (x, t) = data::regression_batch(BATCH, DIMS[0], *DIMS.last().unwrap(), 9);
-
+        let trainer = PipelineTrainer::new(MlpModel::new(&DIMS, 77), cfg.clone()).unwrap();
         let (loss_a, grads_a) = trainer.step_grads(&x, &t).unwrap();
         let (loss_b, grads_b) = trainer.step_grads(&x, &t).unwrap();
-        let empty = trainer.step_grads_with_faults(&x, &t, &FaultPlan::new()).unwrap();
+
+        let dirty = PipelineTrainer::new(MlpModel::new(&DIMS, 77), cfg).unwrap();
+        let (x_other, t_other) = data::regression_batch(BATCH, DIMS[0], out_dim, 10);
+        let (_, spent) = dirty.step_grads(&x_other, &t_other).unwrap();
+        dirty.recycle_grads(spent);
+        let empty = dirty.step_with_trace(&x, &t, &FaultPlan::new()).0.unwrap();
 
         prop_assert_eq!(loss_a.to_bits(), loss_b.to_bits());
         prop_assert_eq!(loss_a.to_bits(), empty.loss.to_bits());
@@ -152,50 +151,10 @@ proptest! {
             let fb = b.to_flat();
             let fc = c.to_flat();
             prop_assert_eq!(fa.len(), fb.len());
+            prop_assert_eq!(fa.len(), fc.len());
             for i in 0..fa.len() {
                 prop_assert_eq!(fa[i].to_bits(), fb[i].to_bits());
                 prop_assert_eq!(fa[i].to_bits(), fc[i].to_bits());
-            }
-        }
-    }
-
-    /// The buffer-reuse engine path (recycled, dirty boundary buffers)
-    /// is bit-identical to the seed allocation-per-message semantics
-    /// across random partitions, schedules and replication — i.e. every
-    /// recycled buffer is fully overwritten before use and the reuse
-    /// layer changes no numerics.
-    #[test]
-    fn buffer_reuse_is_bit_identical_to_seed_semantics(
-        split_idx in 0usize..5,
-        micro_idx in 0usize..6,
-        rep_bits in 0u64..64,
-        sched_idx in 0usize..3,
-        recompute_bit in 0usize..2,
-        flight_idx in 0usize..3,
-    ) {
-        let cfg_reuse = build_cfg(
-            split_idx, micro_idx, rep_bits, sched_idx, recompute_bit, flight_idx, true,
-        );
-        let cfg_seed = build_cfg(
-            split_idx, micro_idx, rep_bits, sched_idx, recompute_bit, flight_idx, false,
-        );
-        let reuse = PipelineTrainer::new(MlpModel::new(&DIMS, 77), cfg_reuse).unwrap();
-        let seed = PipelineTrainer::new(MlpModel::new(&DIMS, 77), cfg_seed).unwrap();
-        let (x, t) = data::regression_batch(BATCH, DIMS[0], *DIMS.last().unwrap(), 9);
-
-        let a = reuse.step_grads_with_faults(&x, &t, &FaultPlan::new()).unwrap();
-        let b = seed.step_grads_with_faults(&x, &t, &FaultPlan::new()).unwrap();
-
-        prop_assert_eq!(a.loss.to_bits(), b.loss.to_bits());
-        // The seed path never touches the free lists.
-        prop_assert_eq!(b.pool_hits, 0);
-        prop_assert_eq!(a.grads.len(), b.grads.len());
-        for (ga, gb) in a.grads.iter().zip(&b.grads) {
-            let fa = ga.to_flat();
-            let fb = gb.to_flat();
-            prop_assert_eq!(fa.len(), fb.len());
-            for i in 0..fa.len() {
-                prop_assert_eq!(fa[i].to_bits(), fb[i].to_bits());
             }
         }
     }

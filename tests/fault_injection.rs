@@ -71,7 +71,8 @@ fn fault_matrix_is_structured_prompt_and_recoverable() {
                 let plan = FaultPlan::new().with_fault(stage, 0, idx, kind);
                 let started = Instant::now();
                 let err = trainer
-                    .step_grads_with_faults(&x, &t, &plan)
+                    .step_with_trace(&x, &t, &plan)
+                    .0
                     .expect_err(&format!("{kind:?} at stage {stage} step {idx} must fail"));
                 let elapsed = started.elapsed();
                 assert!(
@@ -149,8 +150,8 @@ fn repeated_injection_reproduces_the_same_error() {
     .unwrap();
     for kind in [FaultKind::Panic, FaultKind::NanGradient] {
         let plan = FaultPlan::new().with_fault(1, 0, bw2, kind);
-        let a = trainer.step_grads_with_faults(&x, &t, &plan).unwrap_err();
-        let b = trainer.step_grads_with_faults(&x, &t, &plan).unwrap_err();
+        let a = trainer.step_with_trace(&x, &t, &plan).0.unwrap_err();
+        let b = trainer.step_with_trace(&x, &t, &plan).0.unwrap_err();
         assert_eq!(a, b, "{kind:?} must reproduce identically");
     }
 }
@@ -165,7 +166,8 @@ fn skip_policy_drops_the_poisoned_micro_batch() {
     let trainer = PipelineTrainer::new(model6(), config).unwrap();
     let (x, t) = data::regression_batch(24, 5, 3, 9);
     let clean = trainer
-        .step_grads_with_faults(&x, &t, &FaultPlan::new())
+        .step_with_trace(&x, &t, &FaultPlan::new())
+        .0
         .unwrap();
 
     let fw1 = step_index_of(
@@ -178,7 +180,7 @@ fn skip_policy_drops_the_poisoned_micro_batch() {
     )
     .unwrap();
     let plan = FaultPlan::new().with_fault(0, 0, fw1, FaultKind::NanGradient);
-    let out = trainer.step_grads_with_faults(&x, &t, &plan).unwrap();
+    let out = trainer.step_with_trace(&x, &t, &plan).0.unwrap();
     // Every stage detects the poisoned micro-batch and skips it once.
     assert_eq!(out.skipped_micro_batches, STAGES);
     assert_eq!(out.zeroed_values, 0);
@@ -208,7 +210,7 @@ fn zero_policy_repairs_and_counts() {
     )
     .unwrap();
     let plan = FaultPlan::new().with_fault(1, 0, bw3, FaultKind::NanGradient);
-    let out = trainer.step_grads_with_faults(&x, &t, &plan).unwrap();
+    let out = trainer.step_with_trace(&x, &t, &plan).0.unwrap();
     // Stage 1's contribution is poisoned directly; the NaN loss gradient
     // it sends upstream poisons stage 0 as well. Stage 2 is untouched.
     assert!(out.zeroed_values > 0);
@@ -229,7 +231,7 @@ fn faults_target_individual_replicas() {
     let trainer = PipelineTrainer::new(model6(), config).unwrap();
     let (x, t) = data::regression_batch(24, 5, 3, 9);
     let plan = FaultPlan::new().with_fault(0, 1, 0, FaultKind::Panic);
-    match trainer.step_grads_with_faults(&x, &t, &plan) {
+    match trainer.step_with_trace(&x, &t, &plan).0 {
         Err(DappleError::WorkerPanicked { stage, replica, .. }) => {
             assert_eq!((stage, replica), (0, 1));
         }
@@ -238,7 +240,7 @@ fn faults_target_individual_replicas() {
     // Out-of-range replica is rejected up front.
     let bad = FaultPlan::new().with_fault(1, 1, 0, FaultKind::Panic);
     assert!(matches!(
-        trainer.step_grads_with_faults(&x, &t, &bad),
+        trainer.step_with_trace(&x, &t, &bad).0,
         Err(DappleError::InvalidConfig(_))
     ));
 }

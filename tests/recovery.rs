@@ -55,7 +55,7 @@ fn mk_loop(opt_idx: usize) -> TrainLoop {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Kill at step k, resume from the v2 checkpoint: the remaining loss
+    /// Kill at step k, resume from the saved checkpoint: the remaining loss
     /// trajectory and the final model + optimizer state are bit-identical
     /// to an uninterrupted run — for every optimizer and for k in the
     /// pipeline's warmup, steady and tail phases of the run.
@@ -74,7 +74,7 @@ proptest! {
         let mut losses = first.run(k).unwrap();
         let bytes = first.save_bytes();
         drop(first);
-        let mut resumed = TrainLoop::resume_bytes(&bytes, cfg()).unwrap();
+        let mut resumed = TrainLoop::resume_chain(&[bytes], cfg()).unwrap();
         prop_assert_eq!(resumed.step(), k);
         losses.extend(resumed.run(TOTAL_STEPS - k).unwrap());
 
@@ -90,11 +90,12 @@ proptest! {
         prop_assert_eq!(resumed.data().cursor(), uninterrupted.data().cursor());
     }
 
-    /// Any single-byte corruption of a valid v2 checkpoint — any offset,
-    /// any non-identity XOR mask — is rejected with `InvalidConfig`:
-    /// never a panic, never a silently-wrong model.
+    /// Any single-byte corruption of a saved checkpoint — any offset,
+    /// any non-identity XOR mask — is rejected with a structured error
+    /// (`InvalidConfig` for the header, `ShardCorrupt` for a shard):
+    /// never a panic, never a silently-wrong resume.
     #[test]
-    fn corrupted_v2_checkpoint_is_always_rejected(
+    fn corrupted_checkpoint_is_always_rejected(
         opt_idx in 0usize..3,
         pos_seed in 0u64..1_000_000_007,
         mask in 1u8..=255,
@@ -105,8 +106,8 @@ proptest! {
         let mut bytes = lp.save_bytes();
         let pos = (pos_seed % bytes.len() as u64) as usize;
         bytes[pos] ^= mask;
-        match checkpoint::state_from_bytes(&bytes) {
-            Err(DappleError::InvalidConfig(_)) => {}
+        match TrainLoop::resume_chain(&[bytes], cfg()) {
+            Err(DappleError::InvalidConfig(_) | DappleError::ShardCorrupt { .. }) => {}
             Err(other) => prop_assert!(
                 false, "byte {} ^ {:#04x}: wrong error kind {:?}", pos, mask, other
             ),
@@ -114,28 +115,28 @@ proptest! {
                 false, "byte {} ^ {:#04x}: corruption accepted", pos, mask
             ),
         }
-        // And the model-only loader rejects it too.
-        prop_assert!(checkpoint::from_bytes(&bytes).is_err());
     }
 }
 
-/// Kill-and-resume through actual files, exercising `save(path)` and
-/// `resume(path)` (the checkpoint surface CI smoke-tests).
+/// Kill-and-resume through actual files, written and read back by a
+/// `CheckpointStore` (the checkpoint surface CI smoke-tests).
 #[test]
 fn kill_and_resume_via_file_round_trip() {
     let _timing = shared();
     let dir = std::env::temp_dir().join(format!("dapple-recovery-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
     for opt_idx in 0..3 {
-        let path = dir.join(format!("ckpt-{opt_idx}.dapl"));
+        let store = checkpoint::CheckpointStore::new(dir.join(format!("opt-{opt_idx}"))).unwrap();
         let mut reference = mk_loop(opt_idx);
         let ref_losses = reference.run(6).unwrap();
 
         let mut first = mk_loop(opt_idx);
         let mut losses = first.run(3).unwrap();
-        first.save(&path).unwrap();
+        let versions = vec![first.step(); DIMS.len() - 1];
+        store
+            .save_full(&first.state(), &first.partition(), &versions, 1)
+            .unwrap();
         drop(first);
-        let mut resumed = TrainLoop::resume(&path, cfg()).unwrap();
+        let mut resumed = TrainLoop::from_state(store.resume().unwrap().state, cfg()).unwrap();
         losses.extend(resumed.run(3).unwrap());
 
         assert_eq!(losses.len(), ref_losses.len());
@@ -720,7 +721,7 @@ fn checkpoint_taken_degraded_resumes_degraded() {
     assert_eq!(resumed.config().replication, vec![1, 1]);
     assert_eq!(resumed.config().stage_bounds, vec![0..3, 3..6]);
     // The single full save restores the degraded shape too.
-    let single = TrainLoop::resume_bytes(&chain[0], config).unwrap();
+    let single = TrainLoop::resume_chain(&chain[..1], config).unwrap();
     assert_eq!(single.config().replication, vec![1, 1]);
 
     // And the resumed loop continues exactly like the supervisor's own.

@@ -31,7 +31,6 @@ fn traced_cfg(stage_bounds: Vec<std::ops::Range<usize>>, micro_batches: usize) -
         loss: LossKind::Mse,
         recv_timeout: Duration::from_secs(5),
         nan_policy: NanPolicy::AbortStep,
-        buffer_reuse: true,
         tracing: true,
     }
 }
@@ -42,10 +41,9 @@ fn tracing_is_off_by_default() {
     assert!(!cfg.tracing);
     let trainer = PipelineTrainer::new(MlpModel::new(&DIMS, 7), cfg).unwrap();
     let (x, t) = data::regression_batch(BATCH, DIMS[0], *DIMS.last().unwrap(), 9);
-    let out = trainer
-        .step_grads_with_faults(&x, &t, &FaultPlan::new())
-        .unwrap();
-    assert!(out.trace.is_none(), "no trace without the knob");
+    let (out, trace) = trainer.step_with_trace(&x, &t, &FaultPlan::new());
+    out.unwrap();
+    assert!(trace.is_none(), "no trace without the knob");
 }
 
 /// A traced 3-stage, 4-micro-batch run covers every (stage, micro) with
@@ -59,10 +57,9 @@ fn traced_step_exports_complete_parseable_timeline() {
     )
     .unwrap();
     let (x, t) = data::regression_batch(BATCH, DIMS[0], *DIMS.last().unwrap(), 9);
-    let out = trainer
-        .step_grads_with_faults(&x, &t, &FaultPlan::new())
-        .unwrap();
-    let trace = out.trace.expect("tracing on");
+    let (out, trace) = trainer.step_with_trace(&x, &t, &FaultPlan::new());
+    out.unwrap();
+    let trace = trace.expect("tracing on");
     assert_eq!(trace.workers.len(), 3);
     assert_eq!(trace.dropped_spans(), 0, "ring must be sized for the step");
 
@@ -146,10 +143,9 @@ fn replicated_traced_step_records_allreduce() {
     cfg.replication = vec![2, 1];
     let trainer = PipelineTrainer::new(MlpModel::new(&DIMS, 7), cfg).unwrap();
     let (x, t) = data::regression_batch(BATCH, DIMS[0], *DIMS.last().unwrap(), 9);
-    let out = trainer
-        .step_grads_with_faults(&x, &t, &FaultPlan::new())
-        .unwrap();
-    let trace = out.trace.expect("tracing on");
+    let (out, trace) = trainer.step_with_trace(&x, &t, &FaultPlan::new());
+    out.unwrap();
+    let trace = trace.expect("tracing on");
     assert_eq!(trace.workers.len(), 3, "2 + 1 replicas");
     assert!(trace.workers.iter().any(|w| w.stage == 0 && w.replica == 1));
     let ar: Vec<_> = trace
