@@ -208,6 +208,12 @@ fn matmul_benches(smoke: bool, out: &mut Vec<Record>) {
 /// `row_activation` is the single-row inference shape, which can only
 /// run serial because row-banding has one band; the gate keeps it from
 /// paying dispatch for nothing.
+///
+/// The `dx_nt_*` and `dw_tn_acc_*` series are the dense backward at the
+/// engine's shapes, identical in smoke and full mode: `dx = dz·W^T` for
+/// a few micro-batch rows against a square weight matrix (the path that
+/// packs `dz^T`, with the scratch recycled as the pipeline workers do),
+/// and the `dW = x^T·dz` accumulate into a standing gradient.
 fn matmul_shape_benches(smoke: bool, out: &mut Vec<Record>) {
     let (shapes, iters): (&[(&str, usize, usize, usize)], u32) = if smoke {
         (&[("skinny_deep", 8, 512, 8), ("flat_wide", 64, 1, 64)], 3)
@@ -224,20 +230,50 @@ fn matmul_shape_benches(smoke: bool, out: &mut Vec<Record>) {
     for &(label, n, k, m) in shapes {
         let a = filled(n, k, 3);
         let b = filled(k, m, 4);
-        let muls = n * k * m;
-        let flops = 2.0 * muls as f64;
         let ns = time_ns(iters, || drop(black_box(a.matmul(&b))));
-        out.push(Record {
-            group: "matmul_shapes",
-            name: format!("{label}_{n}x{k}x{m}"),
-            iters,
-            ns_per_iter: ns,
-            extra: vec![
-                ("muls", muls.to_string()),
-                ("gflops", json_f64(flops / ns.max(1.0))),
-            ],
-        });
+        push_shape(out, label, (n, k, m), iters, ns);
     }
+    let iters = if smoke { 3 } else { 40 };
+    for (rows, d) in [(4, 1024), (16, 512)] {
+        let dz = filled(rows, d, 5);
+        let w = filled(d, d, 6);
+        let mut dx = Tensor::zeros(rows, d);
+        let mut pack = Vec::new();
+        let ns = time_ns(iters, || {
+            dz.matmul_nt_into_with(&w, &mut dx, &mut pack);
+            black_box(&dx);
+        });
+        push_shape(out, "dx_nt", (rows, d, d), iters, ns);
+    }
+    let (rows, d) = (16, 512);
+    let x = filled(rows, d, 7);
+    let dz = filled(rows, d, 8);
+    let mut dw = Tensor::zeros(d, d);
+    let ns = time_ns(iters, || {
+        black_box(x.matmul_tn_accumulate(&dz, &mut dw));
+    });
+    push_shape(out, "dw_tn_acc", (d, rows, d), iters, ns);
+}
+
+/// Records one `matmul_shapes` series of an `n x k x m` product.
+fn push_shape(
+    out: &mut Vec<Record>,
+    label: &str,
+    (n, k, m): (usize, usize, usize),
+    iters: u32,
+    ns: f64,
+) {
+    let muls = n * k * m;
+    out.push(Record {
+        group: "matmul_shapes",
+        name: format!("{label}_{n}x{k}x{m}"),
+        iters,
+        ns_per_iter: ns,
+        extra: vec![
+            ("muls", muls.to_string()),
+            ("gflops", json_f64(2.0 * muls as f64 / ns.max(1.0))),
+        ],
+    });
 }
 
 /// One pipeline step on a straight 3-stage pipeline, timed as the

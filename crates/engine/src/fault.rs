@@ -45,19 +45,32 @@ pub enum FaultKind {
 }
 
 /// What the runtime does when a micro-batch's gradient contribution
-/// contains NaN/Inf values (checked before the contribution is merged,
-/// i.e. before any AllReduce).
+/// contains NaN/Inf values, or its loss is non-finite.
+///
+/// Detection is a count, not a scan: the backward kernels add each
+/// layer's `dW`/`db` into the stage's accumulator with an epilogue that
+/// adds `+0.0` in place of every non-finite value and counts it (summed
+/// across the kernel's parallel bands). The policy acts on that count
+/// right after the micro-batch's last layer, before its `dx` is sent
+/// upstream and before any replica AllReduce. Every policy yields the
+/// same bits and counts as zeroing the non-finite values of a separate
+/// contribution and then merging it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum NanPolicy {
     /// Fail the whole step with [`DappleError::NonFinite`]; the model is
-    /// left untouched.
+    /// left untouched (the partly filled accumulator is zeroed at the
+    /// next step's start).
     #[default]
     AbortStep,
     /// Drop the poisoned micro-batch's gradient and loss contribution on
-    /// the stage that detected it; report how many were skipped.
+    /// the stage that detected it; report how many were skipped. The one
+    /// policy that needs all of a micro-batch's layers before deciding,
+    /// so only it stages each micro-batch in a zeroed per-worker copy
+    /// and merges that after the check.
     SkipMicroBatch,
     /// Replace non-finite values with zero, keep the rest of the
-    /// contribution; report how many values were zeroed.
+    /// contribution; report how many values were zeroed (a non-finite
+    /// loss is dropped and counted too).
     ZeroAndWarn,
 }
 

@@ -149,19 +149,27 @@ impl Dense {
     /// recycled. The matmuls run transpose-free (`matmul_tn`/`matmul_nt`),
     /// eliminating the two explicit `transpose()` copies per call.
     pub fn backward(&self, x: &Tensor, y: &Tensor, dy: &mut Tensor) -> (Tensor, DenseGrads) {
-        let g = self.backward_params(x, y, dy);
+        self.dz_in_place(x, y, dy);
+        let g = DenseGrads {
+            dw: x.matmul_tn(dy),
+            db: dy.col_sums(),
+        };
         let dx = dy.matmul_nt(&self.w);
         (dx, g)
     }
 
-    /// Fully buffered backward: input gradient *and* parameter gradients
-    /// land in caller-provided storage (`g` shaped by
-    /// [`DenseGrads::zeros_like`]; recycled contents allowed — every
-    /// kernel stores, never accumulates), and the `dx` kernel's transpose
-    /// scratch is the caller's `pack`. Bit-identical to `backward`; with
-    /// warmed buffers it allocates nothing, which is what keeps the
-    /// pipeline's per-micro-batch backward allocation-free.
-    pub fn backward_grads_into(
+    /// The pipeline's backward: this micro-batch's parameter gradients
+    /// are *added* into `g` (shaped by [`DenseGrads::zeros_like`]) by the
+    /// kernels' accumulate epilogue, finite values only, and `dx` lands
+    /// in caller storage (recycled contents allowed) using the caller's
+    /// transpose scratch `pack`. Returns how many `dW`/`db` values were
+    /// non-finite (those add `+0.0`).
+    ///
+    /// Equal bit for bit to `backward` followed by zeroing the
+    /// non-finite values and [`DenseGrads::accumulate`], without the
+    /// per-micro-batch gradient copy; with warmed buffers it allocates
+    /// nothing, which keeps the pipeline's backward allocation-free.
+    pub fn backward_accumulate(
         &self,
         x: &Tensor,
         y: &Tensor,
@@ -169,30 +177,22 @@ impl Dense {
         dx: &mut Tensor,
         g: &mut DenseGrads,
         pack: &mut Vec<f32>,
-    ) {
-        self.backward_params_into(x, y, dy, g);
+    ) -> usize {
+        self.dz_in_place(x, y, dy);
+        let bad = x.matmul_tn_accumulate(dy, &mut g.dw) + dy.col_sums_accumulate(&mut g.db);
         dy.matmul_nt_into_with(&self.w, dx, pack);
+        bad
     }
 
-    /// Shared head of the backward pass: turns `dy` into `dz` in place and
-    /// produces the parameter gradients.
-    fn backward_params(&self, x: &Tensor, y: &Tensor, dy: &mut Tensor) -> DenseGrads {
-        let mut g = DenseGrads::zeros_like(self);
-        self.backward_params_into(x, y, dy, &mut g);
-        g
-    }
-
-    /// [`Dense::backward_params`] into caller-provided gradients.
-    fn backward_params_into(&self, x: &Tensor, y: &Tensor, dy: &mut Tensor, g: &mut DenseGrads) {
+    /// Shared head of the backward pass: turns `dy` into
+    /// `dz = dy * act'(y)` in place.
+    fn dz_in_place(&self, x: &Tensor, y: &Tensor, dy: &mut Tensor) {
         assert_eq!(dy.rows, y.rows, "grad batch mismatch");
         assert_eq!(dy.cols, y.cols, "grad width mismatch");
         assert_eq!(x.rows, y.rows, "cache batch mismatch");
-        // dz = dy * act'(y), in place.
         for (d, yv) in dy.data.iter_mut().zip(&y.data) {
             *d *= self.act.grad_from_output(*yv);
         }
-        x.matmul_tn_into(dy, &mut g.dw);
-        dy.col_sums_into(&mut g.db);
     }
 
     /// SGD update: `p -= lr * g`.

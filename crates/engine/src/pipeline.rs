@@ -15,7 +15,19 @@
 //!
 //! Each stage replica accumulates into a gradient slot the trainer owns
 //! (next to its buffer pool), zeroed in place at step start, so steps
-//! allocate no parameter-sized storage once warm. Replica sync is a
+//! allocate no parameter-sized storage once warm. A micro-batch's
+//! backward makes one sweep over the weights per layer: the `dW`
+//! kernel adds its register tiles straight into the slot
+//! ([`Tensor::matmul_tn_accumulate`]: finite values only, non-finite
+//! ones counted), `db` lands the same way, and `dx = dz·W^T` reads `W`
+//! in place, packing only the few-row `dz^T`. The count decides the
+//! [`NanPolicy`] right after the stage's last layer, and `dx` goes
+//! upstream at once. Only [`NanPolicy::SkipMicroBatch`], which must drop
+//! a whole micro-batch after seeing all its layers, stages it in a
+//! zeroed per-worker copy and merges that after the check. Either way
+//! the accumulator holds exactly what zeroing then adding each
+//! contribution would: it starts at `+0.0` and so never holds `-0.0`,
+//! and staging onto zeros is exact. Replica sync is a
 //! shared-memory fold of the replicas' accumulators straight into the
 //! step's output gradients: chunk `c` of the stage's concatenated
 //! per-layer `(dW, db)` vector, over the ring's
@@ -188,7 +200,7 @@ pub struct PipelineTrainer {
     cfg: EngineConfig,
     /// Per-worker state, one slot per stage replica in spawn order
     /// (stage-major, replica-minor): buffer pool, gradient accumulator,
-    /// contribution scratch, transpose scratch. Owned here — not by the
+    /// transpose scratch. Owned here — not by the
     /// per-step worker threads — so all of it survives across steps:
     /// after the first step every boundary take is a hit and no worker
     /// allocates gradient or kernel scratch.
@@ -758,16 +770,14 @@ impl Worker<'_> {
         let WorkerSlot {
             pool,
             acc,
-            contrib,
+            skip_stage,
             pack,
         } = &mut *slot;
         pool.begin_step();
-        // The step's accumulator starts from zero, in place. `contrib`
-        // is one micro-batch's gradient, overwritten by every backward
-        // and kept apart so a poisoned one can be inspected — and
-        // skipped or repaired — before it contaminates the accumulator.
+        // The step's accumulator starts from zero, in place; backward
+        // passes add into it directly (module docs, "The gradient path").
         shape_grads(acc, self.layers, true);
-        shape_grads(contrib, self.layers, false);
+        let skip_policy = self.nan_policy == NanPolicy::SkipMicroBatch;
         // Spare spines for the per-layer forward chains: each backward
         // drains its chain's tensors into the pool and parks the empty
         // Vec here for the next forward.
@@ -935,8 +945,18 @@ impl Worker<'_> {
                     if fault == Some(FaultKind::NanGradient) || poisoned.contains(&u) {
                         dy.data.fill(f32::NAN);
                     }
-                    let (dx, spent_gy) =
-                        backward_stage(self.layers, &input, &ys, dy, contrib, pack, pool);
+                    // Under SkipMicroBatch the micro-batch is staged onto
+                    // zeros and merged only once all its layers are known
+                    // to be clean; every other policy adds straight into
+                    // the accumulator.
+                    let target = if skip_policy {
+                        shape_grads(skip_stage, self.layers, true);
+                        &mut *skip_stage
+                    } else {
+                        &mut *acc
+                    };
+                    let (dx, spent_gy, bad_grads) =
+                        backward_stage(self.layers, &input, &ys, dy, target, pack, pool);
                     // The last stage folds its loss computation into the
                     // backward span; upstream stages start at receipt.
                     self.rec(
@@ -957,9 +977,13 @@ impl Worker<'_> {
                         pool.put(y);
                     }
                     chain_spares.push(ys);
-                    let bad = count_non_finite(contrib) + usize::from(!micro_loss.is_finite());
+                    let bad = bad_grads + usize::from(!micro_loss.is_finite());
                     if bad == 0 {
-                        merge_contribution(acc, contrib);
+                        if skip_policy {
+                            for (g, c) in acc.iter_mut().zip(skip_stage.iter()) {
+                                g.accumulate(c);
+                            }
+                        }
                         loss += micro_loss;
                     } else {
                         match self.nan_policy {
@@ -971,20 +995,20 @@ impl Worker<'_> {
                                 });
                             }
                             NanPolicy::SkipMicroBatch => skipped += 1,
+                            // The epilogue already added `+0.0` in place of
+                            // every non-finite value; a non-finite loss is
+                            // dropped and counted the same way.
                             NanPolicy::ZeroAndWarn => {
-                                zeroed += zero_non_finite(contrib);
-                                merge_contribution(acc, contrib);
+                                zeroed += bad;
                                 if micro_loss.is_finite() {
                                     loss += micro_loss;
-                                } else {
-                                    zeroed += 1;
                                 }
                             }
                         }
                     }
                     // The upstream stage still needs dx to make progress;
                     // under a lenient policy it will detect and handle
-                    // the poison in its own contribution.
+                    // the poison in its own gradients.
                     if let (Some(txs), Some(prev_rows)) = (&self.tx_b, &self.prev_rows) {
                         let dx_bytes = tensor_bytes(&dx);
                         let ts = self.now_ns();
@@ -1298,31 +1322,33 @@ fn forward_stage(layers: &[Dense], input: &Tensor, ys: &mut Vec<Tensor>, pool: &
 
 /// Backward through a stage's layers.
 ///
-/// Per-layer parameter gradients are written into `contrib` (slot
-/// scratch, fully overwritten — dW/db allocate nothing per call), and
-/// `pack` is the `dx` kernels' transpose scratch. Returns
-/// `(dx, spent_gy)`, where `spent_gy` is the (destroyed) buffer `gy`
-/// arrived in, handed back so the caller can recycle it — it has
-/// exactly the shape of this worker's outgoing boundary messages.
+/// Per-layer parameter gradients are added into `grads` (finite values
+/// only, see [`Dense::backward_accumulate`] — dW/db allocate nothing per
+/// call), and `pack` is the `dx` kernels' transpose scratch. Returns
+/// `(dx, spent_gy, non_finite)`, where `spent_gy` is the (destroyed)
+/// buffer `gy` arrived in, handed back so the caller can recycle it — it
+/// has exactly the shape of this worker's outgoing boundary messages —
+/// and `non_finite` counts the NaN/Inf parameter-gradient values.
 fn backward_stage(
     layers: &[Dense],
     input: &Tensor,
     ys: &[Tensor],
     gy: Tensor,
-    contrib: &mut [DenseGrads],
+    grads: &mut [DenseGrads],
     pack: &mut Vec<f32>,
     pool: &mut TensorPool,
-) -> (Tensor, Tensor) {
+) -> (Tensor, Tensor, usize) {
     assert_eq!(ys.len(), layers.len(), "output chain length");
-    assert_eq!(contrib.len(), layers.len(), "grad scratch length");
+    assert_eq!(grads.len(), layers.len(), "grad accumulator length");
     let mut spent: Option<Tensor> = None;
+    let mut bad = 0;
     let mut cur = gy;
     for i in (0..layers.len()).rev() {
         let x = if i == 0 { input } else { &ys[i - 1] };
         // `dx` comes from the pool without zeroing: the kernel
         // overwrites every element.
         let mut dx = pool.take(cur.rows, layers[i].in_dim());
-        layers[i].backward_grads_into(x, &ys[i], &mut cur, &mut dx, &mut contrib[i], pack);
+        bad += layers[i].backward_accumulate(x, &ys[i], &mut cur, &mut dx, &mut grads[i], pack);
         let used = std::mem::replace(&mut cur, dx);
         if spent.is_none() {
             // The buffer `gy` arrived in: handed back to the caller, whose
@@ -1333,7 +1359,7 @@ fn backward_stage(
             pool.put(used);
         }
     }
-    (cur, spent.expect("non-empty stage"))
+    (cur, spent.expect("non-empty stage"), bad)
 }
 
 /// Everything one stage-replica worker keeps across steps; see
@@ -1346,9 +1372,12 @@ struct WorkerSlot {
     /// The step's gradient accumulator over micro-batches, shaped like
     /// the stage's layers and zeroed in place at step start.
     acc: Vec<DenseGrads>,
-    /// One micro-batch's gradient contribution (overwritten per backward).
-    contrib: Vec<DenseGrads>,
-    /// Transpose scratch of the backward `dx = dz W^T` kernels.
+    /// One micro-batch's gradients, staged onto zeros before they are
+    /// merged into `acc`. Shaped only under [`NanPolicy::SkipMicroBatch`];
+    /// empty otherwise.
+    skip_stage: Vec<DenseGrads>,
+    /// Transpose scratch of the backward `dx = dz W^T` kernels (the
+    /// few-row `dz^T` and its product, not a copy of the weights).
     pack: Vec<f32>,
 }
 
@@ -1437,38 +1466,6 @@ fn reduce_replicas_into(accs: &[&[DenseGrads]], out: &mut [DenseGrads]) -> usize
         }
     }
     len
-}
-
-/// Adds a micro-batch's contribution into the running accumulator.
-fn merge_contribution(grads: &mut [DenseGrads], contrib: &[DenseGrads]) {
-    for (g, c) in grads.iter_mut().zip(contrib) {
-        g.accumulate(c);
-    }
-}
-
-/// Number of NaN/Inf values across a gradient contribution.
-fn count_non_finite(contrib: &[DenseGrads]) -> usize {
-    contrib
-        .iter()
-        .map(|g| {
-            g.dw.data.iter().filter(|v| !v.is_finite()).count()
-                + g.db.iter().filter(|v| !v.is_finite()).count()
-        })
-        .sum()
-}
-
-/// Replaces NaN/Inf values with zero, returning how many were replaced.
-fn zero_non_finite(contrib: &mut [DenseGrads]) -> usize {
-    let mut zeroed = 0usize;
-    for g in contrib {
-        for v in g.dw.data.iter_mut().chain(g.db.iter_mut()) {
-            if !v.is_finite() {
-                *v = 0.0;
-                zeroed += 1;
-            }
-        }
-    }
-    zeroed
 }
 
 #[cfg(test)]

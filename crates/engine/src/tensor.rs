@@ -26,9 +26,24 @@
 //! Consequences: `matmul_tn(b)` is bit-identical to
 //! `transpose().matmul(b)` and `matmul_nt(b)` is bit-identical to
 //! `matmul(b.transpose())` — the transpose-free variants change memory
-//! traffic, never bits. (`matmul_nt` earns its fast path by packing a
-//! transposed copy of `rhs` into a scratch buffer and running the plain
-//! kernel; packing is layout, not arithmetic.)
+//! traffic, never bits. `matmul_nt` packs whichever operand is cheaper
+//! to transpose: `rhs^T` for square-ish products, or, for the few-row
+//! `dx = dz·W^T` of the backward pass, `dz^T` — it then computes
+//! `(W·dz^T)^T`, whose chains are the same ascending fused sums with the
+//! two multiplicands swapped. `fma` is commutative in its multiplicands,
+//! so packing is layout, not arithmetic.
+//!
+//! The one thing the contract leaves open is which NaN *payload* a chain
+//! carries when more than one of a step's operands is NaN (IEEE-754
+//! leaves the choice to the implementation, and the `(W·dz^T)^T` form
+//! presents the multiplicands in the other order). The result is NaN
+//! either way; every finite and infinite result is pinned bit for bit.
+//!
+//! [`Tensor::matmul_tn_accumulate`] (the `dW` kernel) lands its tiles
+//! with an epilogue instead of a store: `acc = acc + (v finite ? v : 0)`
+//! straight from the registers, counting the non-finite `v`. That is
+//! bit for bit "store `v`, zero its non-finite entries, then `acc += v`",
+//! without the round trip through memory.
 //!
 //! Parallelism splits rows into contiguous bands; each output element is
 //! computed by exactly one thread with the order above, so banding (and
@@ -37,6 +52,7 @@
 //! element's chain is independent.
 
 use rayon::prelude::*;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Row-major `rows x cols` matrix of `f32`.
 #[derive(Debug, Clone, PartialEq)]
@@ -77,6 +93,24 @@ const PAR_MIN_MULS: usize = 2 * 1024 * 1024;
 #[inline]
 fn par_worth_it(n: usize, k: usize, m: usize) -> bool {
     n.saturating_mul(k).saturating_mul(m) >= PAR_MIN_MULS
+}
+
+/// Lands one finished accumulator row `v` in `dst`: a plain store, or
+/// with `ADD` the finite-only accumulate `dst + (v finite ? v : 0)`.
+/// Returns how many `v` are non-finite (always 0 for a store).
+#[inline]
+fn land<const ADD: bool>(dst: &mut [f32], v: &[f32]) -> usize {
+    if !ADD {
+        dst.copy_from_slice(v);
+        return 0;
+    }
+    let mut bad = 0;
+    for (d, &x) in dst.iter_mut().zip(v) {
+        let finite = x.is_finite();
+        bad += usize::from(!finite);
+        *d += if finite { x } else { 0.0 };
+    }
+    bad
 }
 
 /// Output-stationary register tile: `RT` rows by `W` columns of `out`,
@@ -123,7 +157,9 @@ fn nn_col<const RT: usize>(a: &[f32], b: &[f32], out: &mut [f32], k: usize, m: u
     }
 }
 
-/// One column panel (`w` ∈ {32, 16, 8, 1}) of `RT` rows.
+/// One column panel (`w` = 32, or any width up to 16) of `RT` rows:
+/// full-width tiles where they fit, an 8-wide tile and single columns
+/// for the rest of a narrow panel.
 #[inline]
 fn nn_panel<const RT: usize>(
     a: &[f32],
@@ -137,46 +173,62 @@ fn nn_panel<const RT: usize>(
     match w {
         COL_TILE => nn_tile::<RT, COL_TILE>(a, b, out, k, m, j),
         16 => nn_tile::<RT, 16>(a, b, out, k, m, j),
-        8 => nn_tile::<RT, 8>(a, b, out, k, m, j),
-        _ => nn_col::<RT>(a, b, out, k, m, j),
+        _ => {
+            let mut c = j;
+            if w >= 8 {
+                nn_tile::<RT, 8>(a, b, out, k, m, c);
+                c += 8;
+            }
+            for c in c..j + w {
+                nn_col::<RT>(a, b, out, k, m, c);
+            }
+        }
     }
 }
 
-/// Full-height (`ROW_TILE` rows) panel: takes the AVX-512 tile for the
-/// hot 32-wide case, the portable tiles otherwise.
+/// Full-height (`ROW_TILE` rows) panel: the AVX-512 tiles — 8×32, or
+/// the masked 8×≤16 tile that keeps narrow panels (a few-row `dz^T`)
+/// vectorized — and the portable tiles otherwise.
 #[inline]
-#[allow(unused_variables)]
 fn nn_row_tile(a: &[f32], b: &[f32], out: &mut [f32], k: usize, m: usize, j: usize, w: usize) {
-    #[cfg(all(target_arch = "x86_64", target_feature = "avx512f"))]
-    if w == COL_TILE {
-        // SAFETY: nn_band only calls with ROW_TILE full rows left in
-        // `a`/`out` and `j + COL_TILE <= m`; `b` is the full `k x m`
-        // matrix.
-        unsafe { simd::nn_8x32(a, b, out, k, m, j) };
-        return;
+    #[cfg(all(
+        target_arch = "x86_64",
+        target_feature = "avx512f",
+        target_feature = "avx512dq"
+    ))]
+    // SAFETY: nn_band only calls with ROW_TILE full rows left in
+    // `a`/`out` and `j + w <= m`, and `panel_width` yields `w == 32` or
+    // `1 <= w <= 16`; `b` is the full `k x m` matrix.
+    unsafe {
+        if w == COL_TILE {
+            simd::nn_8x32(a, b, out, k, m, j);
+        } else {
+            simd::nn_8xw(a, b, out, k, m, j, w);
+        }
     }
+    #[cfg(not(all(
+        target_arch = "x86_64",
+        target_feature = "avx512f",
+        target_feature = "avx512dq"
+    )))]
     nn_panel::<ROW_TILE>(a, b, out, k, m, j, w);
 }
 
-/// Picks the widest column-panel width ≤ the remaining `m - j` columns.
+/// Width of the next column panel given the `rem` columns left: a full
+/// 32-wide tile, else up to 16 (a narrow panel is one masked vector).
 #[inline]
 fn panel_width(rem: usize) -> usize {
     if rem >= COL_TILE {
         COL_TILE
-    } else if rem >= 16 {
-        16
-    } else if rem >= 8 {
-        8
     } else {
-        1
+        rem.min(16)
     }
 }
 
 /// One band of `matmul`: `out.len() / m` rows. The column-panel loop is
 /// outermost so each `b` panel stays cache-resident across the band's
-/// row tiles; widths step 32 → 16 → 8 → 1, row tiles 8 → 4 → 2 → 1, and
-/// every element takes the same ascending fused chain regardless of
-/// which tile computes it.
+/// row tiles; row tiles step 8 → 4 → 2 → 1, and every element takes the
+/// same ascending fused chain regardless of which tile computes it.
 fn nn_band(a: &[f32], b: &[f32], out: &mut [f32], k: usize, m: usize) {
     let rows = out.len() / m;
     let mut j = 0;
@@ -203,12 +255,25 @@ fn nn_band(a: &[f32], b: &[f32], out: &mut [f32], k: usize, m: usize) {
     }
 }
 
+/// `out (n x m) = a (n x k) · b (k x m)` in the canonical order, banded
+/// across threads above the work gate.
+fn nn_store(a: &[f32], b: &[f32], out: &mut [f32], n: usize, k: usize, m: usize) {
+    if par_worth_it(n, k, m) {
+        out.par_chunks_mut(BAND_ROWS * m)
+            .enumerate()
+            .for_each(|(band, band_out)| nn_band(&a[band * BAND_ROWS * k..], b, band_out, k, m));
+    } else {
+        nn_band(a, b, out, k, m);
+    }
+}
+
 /// [`nn_tile`] for the TN product: output row `i0 + r` reads column
 /// `i0 + r` of `a` (`k x n`, so stride-`n` scalar loads), everything
-/// else identical — same ascending-order fused chains.
+/// else identical — same ascending-order fused chains — and the tile
+/// lands through [`land`].
 #[inline]
 #[allow(clippy::too_many_arguments)]
-fn tn_tile<const RT: usize, const W: usize>(
+fn tn_tile<const ADD: bool, const RT: usize, const W: usize>(
     a: &[f32],
     n: usize,
     i0: usize,
@@ -217,7 +282,7 @@ fn tn_tile<const RT: usize, const W: usize>(
     k: usize,
     m: usize,
     j: usize,
-) {
+) -> usize {
     let mut acc = [[0.0f32; W]; RT];
     for t in 0..k {
         let bb: &[f32; W] = b[t * m + j..t * m + j + W].try_into().expect("tile width");
@@ -229,15 +294,15 @@ fn tn_tile<const RT: usize, const W: usize>(
             }
         }
     }
-    for r in 0..RT {
-        out[r * m + j..r * m + j + W].copy_from_slice(&acc[r]);
-    }
+    (0..RT)
+        .map(|r| land::<ADD>(&mut out[r * m + j..r * m + j + W], &acc[r]))
+        .sum()
 }
 
 /// Single-column tail of [`tn_tile`].
 #[inline]
 #[allow(clippy::too_many_arguments)]
-fn tn_col<const RT: usize>(
+fn tn_col<const ADD: bool, const RT: usize>(
     a: &[f32],
     n: usize,
     i0: usize,
@@ -246,20 +311,23 @@ fn tn_col<const RT: usize>(
     k: usize,
     m: usize,
     j: usize,
-) {
+) -> usize {
+    let mut bad = 0;
     for r in 0..RT {
         let mut acc = 0.0f32;
         for t in 0..k {
             acc = a[t * n + i0 + r].mul_add(b[t * m + j], acc);
         }
-        out[r * m + j] = acc;
+        bad += land::<ADD>(&mut out[r * m + j..r * m + j + 1], &[acc]);
     }
+    bad
 }
 
-/// One column panel (`w` ∈ {32, 8, 1}) of `RT` TN output rows.
+/// One column panel (`w` = 32, or any width up to 16) of `RT` TN output
+/// rows, split like [`nn_panel`].
 #[inline]
 #[allow(clippy::too_many_arguments)]
-fn tn_panel<const RT: usize>(
+fn tn_panel<const ADD: bool, const RT: usize>(
     a: &[f32],
     n: usize,
     i0: usize,
@@ -269,12 +337,22 @@ fn tn_panel<const RT: usize>(
     m: usize,
     j: usize,
     w: usize,
-) {
+) -> usize {
     match w {
-        COL_TILE => tn_tile::<RT, COL_TILE>(a, n, i0, b, out, k, m, j),
-        16 => tn_tile::<RT, 16>(a, n, i0, b, out, k, m, j),
-        8 => tn_tile::<RT, 8>(a, n, i0, b, out, k, m, j),
-        _ => tn_col::<RT>(a, n, i0, b, out, k, m, j),
+        COL_TILE => tn_tile::<ADD, RT, COL_TILE>(a, n, i0, b, out, k, m, j),
+        16 => tn_tile::<ADD, RT, 16>(a, n, i0, b, out, k, m, j),
+        _ => {
+            let mut bad = 0;
+            let mut c = j;
+            if w >= 8 {
+                bad += tn_tile::<ADD, RT, 8>(a, n, i0, b, out, k, m, c);
+                c += 8;
+            }
+            for c in c..j + w {
+                bad += tn_col::<ADD, RT>(a, n, i0, b, out, k, m, c);
+            }
+            bad
+        }
     }
 }
 
@@ -282,7 +360,7 @@ fn tn_panel<const RT: usize>(
 /// 32-wide case, portable tiles otherwise.
 #[inline]
 #[allow(clippy::too_many_arguments, unused_variables)]
-fn tn_row_tile(
+fn tn_row_tile<const ADD: bool>(
     a: &[f32],
     n: usize,
     i0: usize,
@@ -292,56 +370,66 @@ fn tn_row_tile(
     m: usize,
     j: usize,
     w: usize,
-) {
-    #[cfg(all(target_arch = "x86_64", target_feature = "avx512f"))]
+) -> usize {
+    #[cfg(all(
+        target_arch = "x86_64",
+        target_feature = "avx512f",
+        target_feature = "avx512dq"
+    ))]
     if w == COL_TILE {
         // SAFETY: tn_band only calls with `i0 + ROW_TILE <= n`,
         // ROW_TILE full output rows left, and `j + COL_TILE <= m`.
-        unsafe { simd::tn_8x32(a, n, i0, b, out, k, m, j) };
-        return;
+        return unsafe { simd::tn_8x32::<ADD>(a, n, i0, b, out, k, m, j) };
     }
-    tn_panel::<ROW_TILE>(a, n, i0, b, out, k, m, j, w);
+    tn_panel::<ADD, ROW_TILE>(a, n, i0, b, out, k, m, j, w)
 }
 
 /// One band of `matmul_tn`: output rows `i0..i0 + out.len() / m`, same
-/// panel-outer structure as [`nn_band`].
-fn tn_band(a: &[f32], n: usize, i0: usize, b: &[f32], out: &mut [f32], k: usize, m: usize) {
+/// panel-outer structure as [`nn_band`]. Returns the band's non-finite
+/// count (0 for a store).
+fn tn_band<const ADD: bool>(
+    a: &[f32],
+    n: usize,
+    i0: usize,
+    b: &[f32],
+    out: &mut [f32],
+    k: usize,
+    m: usize,
+) -> usize {
     let rows = out.len() / m;
+    let mut bad = 0;
     let mut j = 0;
     while j < m {
         let w = panel_width(m - j);
         let mut r = 0;
         while rows - r >= ROW_TILE {
-            tn_row_tile(a, n, i0 + r, b, &mut out[r * m..], k, m, j, w);
+            bad += tn_row_tile::<ADD>(a, n, i0 + r, b, &mut out[r * m..], k, m, j, w);
             r += ROW_TILE;
         }
         while rows - r >= 4 {
-            tn_panel::<4>(a, n, i0 + r, b, &mut out[r * m..], k, m, j, w);
+            bad += tn_panel::<ADD, 4>(a, n, i0 + r, b, &mut out[r * m..], k, m, j, w);
             r += 4;
         }
         while rows - r >= 2 {
-            tn_panel::<2>(a, n, i0 + r, b, &mut out[r * m..], k, m, j, w);
+            bad += tn_panel::<ADD, 2>(a, n, i0 + r, b, &mut out[r * m..], k, m, j, w);
             r += 2;
         }
         while r < rows {
-            tn_panel::<1>(a, n, i0 + r, b, &mut out[r * m..], k, m, j, w);
+            bad += tn_panel::<ADD, 1>(a, n, i0 + r, b, &mut out[r * m..], k, m, j, w);
             r += 1;
         }
         j += w;
     }
+    bad
 }
 
-/// Transposes `src` (`rows x cols`, row-major) into `dst[..cols * rows]`
-/// (`cols x rows`), growing `dst` as needed. Blocked so both the read
-/// and write sides stay within a few cache lines per pass; every element
-/// of the destination prefix is overwritten, so recycled scratch needs
-/// no zeroing. Pure data movement — no arithmetic, no effect on bits.
-fn pack_transpose(src: &[f32], rows: usize, cols: usize, dst: &mut Vec<f32>) {
-    let need = src.len();
-    if dst.len() < need {
-        dst.resize(need, 0.0);
-    }
-    let d = &mut dst[..need];
+/// Transposes `src` (`rows x cols`, row-major) into `dst` (`cols x
+/// rows`, exactly `src.len()` long). Blocked so both the read and write
+/// sides stay within a few cache lines per pass; every element of `dst`
+/// is overwritten, so recycled scratch needs no zeroing. Pure data
+/// movement — no arithmetic, no effect on bits.
+fn transpose_into(src: &[f32], rows: usize, cols: usize, dst: &mut [f32]) {
+    debug_assert_eq!(dst.len(), src.len());
     const BT: usize = 32;
     let mut r0 = 0;
     while r0 < rows {
@@ -352,7 +440,7 @@ fn pack_transpose(src: &[f32], rows: usize, cols: usize, dst: &mut Vec<f32>) {
             // Contiguous stores, strided loads: one destination column
             // at a time within the block.
             for c in c0..c1 {
-                let dcol = &mut d[c * rows + r0..c * rows + r1];
+                let dcol = &mut dst[c * rows + r0..c * rows + r1];
                 let mut s = r0 * cols + c;
                 for dv in dcol.iter_mut() {
                     *dv = src[s];
@@ -363,6 +451,15 @@ fn pack_transpose(src: &[f32], rows: usize, cols: usize, dst: &mut Vec<f32>) {
         }
         r0 = r1;
     }
+}
+
+/// The first `len` floats of a grow-only scratch buffer (contents
+/// arbitrary).
+fn scratch(buf: &mut Vec<f32>, len: usize) -> &mut [f32] {
+    if buf.len() < len {
+        buf.resize(len, 0.0);
+    }
+    &mut buf[..len]
 }
 
 /// Explicit AVX-512 implementations of the hot register tiles.
@@ -376,7 +473,11 @@ fn pack_transpose(src: &[f32], rows: usize, cols: usize, dst: &mut Vec<f32>) {
 /// observed spilling accumulators to the stack and round-tripping them
 /// through gather/scatter on every FMA, a ~20x slowdown. Hand-placed
 /// intrinsics make the register tiling explicit.
-#[cfg(all(target_arch = "x86_64", target_feature = "avx512f"))]
+#[cfg(all(
+    target_arch = "x86_64",
+    target_feature = "avx512f",
+    target_feature = "avx512dq"
+))]
 mod simd {
     use core::arch::x86_64::*;
 
@@ -384,6 +485,29 @@ mod simd {
     // vectors wide); keep them in sync with the constants.
     const _: () = assert!(super::ROW_TILE == 8);
     const _: () = assert!(super::COL_TILE == 32);
+
+    /// `fpclass` categories that are not finite: QNaN, +Inf, -Inf, SNaN.
+    const NON_FINITE: i32 = 0x01 | 0x08 | 0x10 | 0x80;
+
+    /// The vector form of [`super::land`]: stores `v` at `dst`, or with
+    /// `ADD` adds its finite lanes (non-finite lanes add `+0.0`) to what
+    /// is there; returns the non-finite lane count.
+    ///
+    /// # Safety
+    /// `dst..dst + 16` must be valid for reads and writes.
+    #[inline(always)]
+    unsafe fn land<const ADD: bool>(dst: *mut f32, v: __m512) -> usize {
+        unsafe {
+            if !ADD {
+                _mm512_storeu_ps(dst, v);
+                return 0;
+            }
+            let bad = _mm512_fpclass_ps_mask::<NON_FINITE>(v);
+            let sum = _mm512_add_ps(_mm512_loadu_ps(dst), _mm512_maskz_mov_ps(!bad, v));
+            _mm512_storeu_ps(dst, sum);
+            bad.count_ones() as usize
+        }
+    }
 
     /// 8 x 32 output-stationary tile of `matmul`: rows `0..8` of `a`
     /// (row-major, stride `k`) times columns `j..j + 32` of `b`, each
@@ -422,14 +546,52 @@ mod simd {
         }
     }
 
+    /// Masked 8 x `w` tile (`1 <= w <= 16`) of `matmul`: [`nn_8x32`]'s
+    /// chains on a single vector whose lanes past `w` are never loaded
+    /// or stored. This keeps narrow panels — `W·dz^T` has one column per
+    /// micro-batch row — on the vector unit instead of the scalar tail.
+    ///
+    /// # Safety
+    /// Caller guarantees `a.len() >= 8 * k`, `b.len() >= k * m`,
+    /// `out.len() >= 7 * m + j + w`, `j + w <= m` and `1 <= w <= 16`.
+    #[allow(clippy::too_many_arguments)]
+    pub(super) unsafe fn nn_8xw(
+        a: &[f32],
+        b: &[f32],
+        out: &mut [f32],
+        k: usize,
+        m: usize,
+        j: usize,
+        w: usize,
+    ) {
+        unsafe {
+            let mask = ((1u32 << w) - 1) as __mmask16;
+            let ap = a.as_ptr();
+            let bp = b.as_ptr().add(j);
+            let op = out.as_mut_ptr().add(j);
+            let mut accs = [_mm512_setzero_ps(); 8];
+            for i in 0..k {
+                let bv = _mm512_maskz_loadu_ps(mask, bp.add(i * m));
+                for (r, acc) in accs.iter_mut().enumerate() {
+                    let av = _mm512_set1_ps(*ap.add(r * k + i));
+                    *acc = _mm512_fmadd_ps(av, bv, *acc);
+                }
+            }
+            for (r, acc) in accs.iter().enumerate() {
+                _mm512_mask_storeu_ps(op.add(r * m), mask, *acc);
+            }
+        }
+    }
+
     /// [`nn_8x32`] for `matmul_tn`: output rows are columns `i0..i0 + 8`
-    /// of `a` (`k x n` row-major), same chains.
+    /// of `a` (`k x n` row-major), same chains, landed through [`land`];
+    /// returns the tile's non-finite count (0 for a store).
     ///
     /// # Safety
     /// Caller guarantees `a.len() >= k * n`, `i0 + 8 <= n`,
     /// `b.len() >= k * m`, `out.len() >= 7 * m + j + 32`, `j + 32 <= m`.
     #[allow(clippy::too_many_arguments)]
-    pub(super) unsafe fn tn_8x32(
+    pub(super) unsafe fn tn_8x32<const ADD: bool>(
         a: &[f32],
         n: usize,
         i0: usize,
@@ -438,7 +600,7 @@ mod simd {
         k: usize,
         m: usize,
         j: usize,
-    ) {
+    ) -> usize {
         unsafe {
             let ap = a.as_ptr().add(i0);
             let bp = b.as_ptr().add(j);
@@ -454,10 +616,12 @@ mod simd {
                     acc1[r] = _mm512_fmadd_ps(av, b1, acc1[r]);
                 }
             }
+            let mut bad = 0;
             for r in 0..8 {
-                _mm512_storeu_ps(op.add(r * m), acc0[r]);
-                _mm512_storeu_ps(op.add(r * m + 16), acc1[r]);
+                bad += land::<ADD>(op.add(r * m), acc0[r]);
+                bad += land::<ADD>(op.add(r * m + 16), acc1[r]);
             }
+            bad
         }
     }
 }
@@ -529,82 +693,83 @@ impl Tensor {
             out.fill(0.0);
             return;
         }
-        if par_worth_it(n, k, m) {
-            out.par_chunks_mut(BAND_ROWS * m)
-                .enumerate()
-                .for_each(|(band, band_out)| {
-                    nn_band(
-                        &self.data[band * BAND_ROWS * k..],
-                        &rhs.data,
-                        band_out,
-                        k,
-                        m,
-                    );
-                });
-        } else {
-            nn_band(&self.data, &rhs.data, out, k, m);
-        }
+        nn_store(&self.data, &rhs.data, out, n, k, m);
     }
 
     /// Transpose-free product `self^T (k x n) * rhs (k x m) -> (n x m)`.
     ///
     /// Bit-identical to `self.transpose().matmul(rhs)` — the per-element
     /// chain is the same ascending fused sum — without materializing the
-    /// transposed copy. This is the `dW = x^T dz` kernel of the dense
-    /// backward pass.
+    /// transposed copy.
     pub fn matmul_tn(&self, rhs: &Tensor) -> Tensor {
         assert_eq!(self.rows, rhs.rows, "matmul_tn outer dims");
         let (n, m) = (self.cols, rhs.cols);
         let mut out = vec![0.0f32; n * m];
-        self.matmul_tn_store(rhs, &mut out);
+        self.matmul_tn_kernel::<false>(rhs, &mut out);
         Tensor::from_vec(n, m, out)
     }
 
-    /// [`Tensor::matmul_tn`] into a caller-provided buffer. The kernel
-    /// stores (never accumulates), so recycled contents need no zeroing.
-    /// Bit-identical to `matmul_tn`. This closes the last steady-state
-    /// allocation hole in the backward pass: `dW` gradients can land in
-    /// a reused buffer instead of a fresh tensor per micro-batch.
-    pub fn matmul_tn_into(&self, rhs: &Tensor, out: &mut Tensor) {
+    /// `acc += self^T * rhs`, finite values only: every element becomes
+    /// `acc + (v finite ? v : 0.0)`, where `v` is the element
+    /// [`Tensor::matmul_tn`] would produce; returns how many `v` are
+    /// non-finite. This is the `dW = x^T dz` kernel of the dense backward
+    /// pass, accumulating a micro-batch's gradient straight from the
+    /// register tiles — bit-identical to storing `v`, zeroing its
+    /// non-finite entries and then adding it, in one pass over `acc`.
+    pub fn matmul_tn_accumulate(&self, rhs: &Tensor, acc: &mut Tensor) -> usize {
         assert_eq!(self.rows, rhs.rows, "matmul_tn outer dims");
-        assert_eq!(out.rows, self.cols, "matmul_tn_into out rows");
-        assert_eq!(out.cols, rhs.cols, "matmul_tn_into out cols");
-        self.matmul_tn_store(rhs, &mut out.data);
+        assert_eq!(acc.rows, self.cols, "matmul_tn_accumulate acc rows");
+        assert_eq!(acc.cols, rhs.cols, "matmul_tn_accumulate acc cols");
+        self.matmul_tn_kernel::<true>(rhs, &mut acc.data)
     }
 
-    /// Store kernel shared by `matmul_tn`/`matmul_tn_into`; every element
-    /// of `out` is overwritten.
-    fn matmul_tn_store(&self, rhs: &Tensor, out: &mut [f32]) {
+    /// TN kernel: stores into `out`, or with `ADD` accumulates its finite
+    /// values (module docs); returns the non-finite count summed over all
+    /// bands (0 for a store).
+    fn matmul_tn_kernel<const ADD: bool>(&self, rhs: &Tensor, out: &mut [f32]) -> usize {
         let (k, n, m) = (self.rows, self.cols, rhs.cols);
         if out.is_empty() {
-            return;
+            return 0;
         }
         if k == 0 {
-            out.fill(0.0);
-            return;
+            // The empty chain: every `v` is `+0.0`.
+            if ADD {
+                out.iter_mut().for_each(|a| *a += 0.0);
+            } else {
+                out.fill(0.0);
+            }
+            return 0;
         }
         if par_worth_it(n, k, m) {
+            // A plain statistic: read only after every band has joined.
+            let bad = AtomicUsize::new(0);
             out.par_chunks_mut(BAND_ROWS * m)
                 .enumerate()
                 .for_each(|(band, band_out)| {
-                    tn_band(&self.data, n, band * BAND_ROWS, &rhs.data, band_out, k, m);
+                    let b =
+                        tn_band::<ADD>(&self.data, n, band * BAND_ROWS, &rhs.data, band_out, k, m);
+                    bad.fetch_add(b, Ordering::Relaxed);
                 });
+            bad.into_inner()
         } else {
-            tn_band(&self.data, n, 0, &rhs.data, out, k, m);
+            tn_band::<ADD>(&self.data, n, 0, &rhs.data, out, k, m)
         }
     }
 
     /// Transpose-free product `self (n x k) * rhs^T (k x m) -> (n x m)`
-    /// where `rhs` is `m x k`.
+    /// where `rhs` is `m x k`. This is the `dx = dz W^T` kernel of the
+    /// dense backward pass.
     ///
-    /// Bit-identical to `self.matmul(&rhs.transpose())` — same
-    /// ascending fused chain per element: `rhs^T` is packed into a
-    /// scratch buffer and fed to the plain matmul kernel. Computing NT
-    /// directly (both operands row-major, reducing along the SIMD axis)
-    /// re-streams all of `rhs` for every pair of output rows, which is
-    /// memory-bound ~4x slower than packing once; the pack is O(m·k)
-    /// against the O(n·m·k) multiply. This is the `dx = dz W^T` kernel
-    /// of the dense backward pass.
+    /// Bit-identical to `self.matmul(&rhs.transpose())` — same ascending
+    /// fused chain per element. Computing NT directly (both operands
+    /// row-major, reducing along the SIMD axis) would reassociate the
+    /// chains, so one operand is packed transposed into scratch and the
+    /// plain kernel runs on it; the pack picks the cheaper side. With
+    /// few rows (`n·(k+m) < m·k`, the backward's micro-batch against a
+    /// weight matrix) it packs `self^T`, computes `rhs · self^T` (`m x
+    /// n`) and transposes that small result into `out`, so the weights
+    /// are read once in place instead of re-laid out per call. Otherwise
+    /// it packs `rhs^T` (`k x m`) and runs `self · rhs^T` directly.
     pub fn matmul_nt(&self, rhs: &Tensor) -> Tensor {
         assert_eq!(self.cols, rhs.cols, "matmul_nt inner dims");
         let (n, m) = (self.rows, rhs.rows);
@@ -623,9 +788,10 @@ impl Tensor {
 
     /// [`Tensor::matmul_nt_into`] with a caller-owned transpose scratch
     /// `pack` (grow-only, contents arbitrary). Once `pack` has grown to
-    /// the largest `rhs`, calls allocate nothing: this is the backward
+    /// the largest shape, calls allocate nothing: this is the backward
     /// path of the pipeline workers, whose scratch lives in a
-    /// trainer-owned slot that outlives the per-step threads.
+    /// trainer-owned slot that outlives the per-step threads. On the
+    /// few-row path it holds `n·(k+m)` floats, not a weight-sized copy.
     pub fn matmul_nt_into_with(&self, rhs: &Tensor, out: &mut Tensor, pack: &mut Vec<f32>) {
         assert_eq!(self.cols, rhs.cols, "matmul_nt inner dims");
         assert_eq!(out.rows, self.rows, "matmul_nt_into out rows");
@@ -633,9 +799,8 @@ impl Tensor {
         self.matmul_nt_store(rhs, &mut out.data, pack);
     }
 
-    /// Store kernel shared by the `matmul_nt` variants: packs `rhs^T`
-    /// into `pack`, then runs the [`nn_band`] kernel against the packed
-    /// matrix. Every element of `out` is overwritten.
+    /// Store kernel shared by the `matmul_nt` variants (pack choice in
+    /// [`Tensor::matmul_nt`]). Every element of `out` is overwritten.
     fn matmul_nt_store(&self, rhs: &Tensor, out: &mut [f32], pack: &mut Vec<f32>) {
         let (n, k, m) = (self.rows, self.cols, rhs.rows);
         if out.is_empty() {
@@ -645,23 +810,26 @@ impl Tensor {
             out.fill(0.0);
             return;
         }
-        pack_transpose(&rhs.data, m, k, pack);
-        let bt = &pack[..k * m];
-        if par_worth_it(n, k, m) {
-            out.par_chunks_mut(BAND_ROWS * m)
-                .enumerate()
-                .for_each(|(band, band_out)| {
-                    nn_band(&self.data[band * BAND_ROWS * k..], bt, band_out, k, m);
-                });
+        if n * (k + m) < m * k {
+            let (lhs_t, prod) = scratch(pack, n * (k + m)).split_at_mut(k * n);
+            transpose_into(&self.data, n, k, lhs_t);
+            // Serial on purpose: splitting `rhs`'s rows into rayon bands
+            // lost throughput on the stepbench workloads, whose pipeline
+            // workers already keep every core busy (a band's thread spawn
+            // is not repaid by a few-row product).
+            nn_band(&rhs.data, lhs_t, prod, k, n);
+            transpose_into(prod, m, n, out);
         } else {
-            nn_band(&self.data, bt, out, k, m);
+            let rhs_t = scratch(pack, k * m);
+            transpose_into(&rhs.data, m, k, rhs_t);
+            nn_store(&self.data, rhs_t, out, n, k, m);
         }
     }
 
     /// Transposed copy (cache-blocked).
     pub fn transpose(&self) -> Tensor {
-        let mut out = Vec::new();
-        pack_transpose(&self.data, self.rows, self.cols, &mut out);
+        let mut out = vec![0.0f32; self.data.len()];
+        transpose_into(&self.data, self.rows, self.cols, &mut out);
         Tensor::from_vec(self.cols, self.rows, out)
     }
 
@@ -675,24 +843,38 @@ impl Tensor {
         }
     }
 
-    /// Column sums (used for bias gradients).
+    /// Column sums (used for bias gradients): plain adds in ascending
+    /// row order from `0.0`.
     pub fn col_sums(&self) -> Vec<f32> {
         let mut out = vec![0.0f32; self.cols];
-        self.col_sums_into(&mut out);
-        out
-    }
-
-    /// [`Tensor::col_sums`] into a caller-provided buffer (recycled
-    /// contents allowed — the buffer is reset first). Bit-identical to
-    /// `col_sums`: plain adds in ascending row order.
-    pub fn col_sums_into(&self, out: &mut [f32]) {
-        assert_eq!(out.len(), self.cols, "col_sums_into length");
-        out.fill(0.0);
         for row in self.data.chunks(self.cols) {
             for (o, v) in out.iter_mut().zip(row) {
                 *o += *v;
             }
         }
+        out
+    }
+
+    /// `acc += col_sums()`, finite values only: every element becomes
+    /// `acc + (s finite ? s : 0.0)` for the column sum `s` that
+    /// [`Tensor::col_sums`] would produce; returns how many `s` are
+    /// non-finite. The `db` half of the backward's accumulate epilogue
+    /// (see [`Tensor::matmul_tn_accumulate`]), allocation-free.
+    pub fn col_sums_accumulate(&self, acc: &mut [f32]) -> usize {
+        assert_eq!(acc.len(), self.cols, "col_sums_accumulate length");
+        const W: usize = 64;
+        let mut bad = 0;
+        for (c, dst) in acc.chunks_mut(W).enumerate() {
+            let mut sums = [0.0f32; W];
+            let sums = &mut sums[..dst.len()];
+            for row in self.data.chunks(self.cols) {
+                for (s, v) in sums.iter_mut().zip(&row[c * W..]) {
+                    *s += *v;
+                }
+            }
+            bad += land::<true>(dst, sums);
+        }
+        bad
     }
 
     /// Copy of rows `range`.
@@ -810,14 +992,6 @@ mod tests {
     }
 
     #[test]
-    fn col_sums_into_overwrites_recycled_contents() {
-        let a = Tensor::from_vec(2, 3, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
-        let mut dirty = vec![f32::NAN, 1e9, -7.0];
-        a.col_sums_into(&mut dirty);
-        assert_eq!(dirty, a.col_sums());
-    }
-
-    #[test]
     fn slice_concat_round_trip() {
         let a = Tensor::from_vec(4, 2, (0..8).map(|v| v as f32).collect());
         let parts = [a.slice_rows(0..1), a.slice_rows(1..3), a.slice_rows(3..4)];
@@ -877,13 +1051,26 @@ mod tests {
         assert_bits_eq(&fast, &a.matmul(&b.transpose()));
     }
 
+    /// The accumulate epilogue is "store, zero the non-finite, add":
+    /// finite products land on top of what was there, a NaN product adds
+    /// `+0.0` (so a `-0.0` accumulator becomes `+0.0`) and is counted.
     #[test]
-    fn matmul_tn_into_overwrites_recycled_contents() {
-        let a = Tensor::from_vec(3, 2, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
-        let b = Tensor::from_vec(3, 4, (0..12).map(|v| v as f32 * 0.25 - 1.0).collect());
-        let mut dirty = Tensor::from_vec(2, 4, vec![f32::NAN; 8]);
-        a.matmul_tn_into(&b, &mut dirty);
-        assert_bits_eq(&dirty, &a.matmul_tn(&b));
+    fn matmul_tn_accumulate_adds_finite_values_and_counts_the_rest() {
+        let a = Tensor::from_vec(2, 2, vec![1.0, 2.0, f32::NAN, 4.0]);
+        let b = Tensor::from_vec(2, 2, vec![0.5, -1.0, 3.0, 0.25]);
+        let v = a.matmul_tn(&b);
+        let mut acc = Tensor::from_vec(2, 2, vec![-0.0, 1.0, -0.0, f32::INFINITY]);
+        let bad = a.matmul_tn_accumulate(&b, &mut acc);
+        assert_eq!(bad, 2, "column 0 of a carries the NaN into v[0][..]");
+        assert!(v.data[0].is_nan() && v.data[1].is_nan());
+        let want = [0.0f32, 1.0, -0.0 + v.data[2], f32::INFINITY];
+        for (got, want) in acc.data.iter().zip(want) {
+            assert_eq!(got.to_bits(), want.to_bits());
+        }
+        let mut db = vec![-0.0, 10.0];
+        assert_eq!(a.col_sums_accumulate(&mut db), 1);
+        assert_eq!(db[0].to_bits(), 0.0f32.to_bits());
+        assert_eq!(db[1], 16.0);
     }
 
     #[test]

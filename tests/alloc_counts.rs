@@ -12,7 +12,9 @@
 //! allocations happen only during pipeline warmup and their count is
 //! independent of the number of micro-batches. A supervised
 //! `TrainLoop` step allocates nothing that scales with the model: its
-//! byte count is the same at two hidden widths.
+//! byte count is the same at two hidden widths. A trainer's first step
+//! allocates its gradient storage and nothing else parameter-sized: no
+//! per-micro-batch gradient copy, no transposed copy of the weights.
 //!
 //! The counters are process-global, so this suite runs without the
 //! libtest harness (`harness = false` in Cargo.toml): `main` runs the
@@ -356,6 +358,43 @@ fn train_loop_step_bytes_independent_of_width() {
     );
 }
 
+/// Bytes allocated by the first step of a fresh one-stage trainer with
+/// two replicas, three 256x256 layers and 4 rows per replica, and the
+/// model's parameter bytes.
+#[allow(clippy::single_range_in_vec_init)] // one stage covering layers 0..3
+fn first_step_bytes() -> (usize, usize) {
+    use dapple::engine::{data, EngineConfig, FaultPlan, MlpModel, PipelineTrainer};
+    let model = MlpModel::new(&[256, 256, 256, 256], 3);
+    let param_bytes = model.num_params() * std::mem::size_of::<f32>();
+    let mut cfg = EngineConfig::straight(vec![0..3], 2, 0.1);
+    cfg.replication = vec![2];
+    let trainer = PipelineTrainer::new(model, cfg).unwrap();
+    // 16 samples, 2 micro-batches of 8 rows, 4 rows per replica.
+    let (x, t) = data::regression_batch(16, 256, 256, 9);
+    let before = BYTES.load(Ordering::Relaxed);
+    trainer
+        .step_with_trace(&x, &t, &FaultPlan::new())
+        .0
+        .unwrap();
+    (BYTES.load(Ordering::Relaxed) - before, param_bytes)
+}
+
+/// A first step needs three parameter-sized allocations: one gradient
+/// accumulator per replica and the reduced output gradients. Everything
+/// else it allocates — pooled activations, the few-row `dx` scratch,
+/// thread and channel wiring — is a small fraction of one more. A
+/// per-worker staging copy of the gradients (two more sets) or a
+/// transposed copy of each weight matrix for `dx = dz·W^T` (two thirds
+/// of a set here) breaks the bound.
+fn first_step_allocates_only_the_gradient_sets() {
+    let (bytes, params) = first_step_bytes();
+    let bound = 3 * params + params / 2;
+    assert!(
+        bytes < bound,
+        "first step allocated {bytes} bytes, bound {bound} (3.5x the {params} parameter bytes)"
+    );
+}
+
 /// Every test of this suite, in run order.
 const TESTS: &[(&str, fn())] = &[
     (
@@ -389,6 +428,10 @@ const TESTS: &[(&str, fn())] = &[
     (
         "train_loop_step_bytes_independent_of_width",
         train_loop_step_bytes_independent_of_width,
+    ),
+    (
+        "first_step_allocates_only_the_gradient_sets",
+        first_step_allocates_only_the_gradient_sets,
     ),
 ];
 

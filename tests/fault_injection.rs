@@ -6,6 +6,7 @@
 //! and the trainer must complete a clean training step immediately
 //! afterwards (the failed step leaves the model untouched).
 
+use dapple::engine::layer::DenseGrads;
 use dapple::engine::{
     data, EngineConfig, FaultKind, FaultPlan, MlpModel, NanPolicy, PipelineTrainer,
 };
@@ -29,6 +30,27 @@ fn cfg() -> EngineConfig {
     let mut cfg = EngineConfig::straight(vec![0..2, 2..4, 4..6], MICRO, 0.1);
     cfg.recv_timeout = RECV_TIMEOUT;
     cfg
+}
+
+/// A clean step's gradients under `trainer`'s policy equal the
+/// sequential reference bit for bit: the lenient policies detect and
+/// repair through the same accumulate epilogue, which on finite values
+/// is plain accumulation.
+fn assert_clean_step_is_reference(trainer: &PipelineTrainer) {
+    let (x, t) = data::regression_batch(24, 5, 3, 9);
+    let out = trainer
+        .step_with_trace(&x, &t, &FaultPlan::new())
+        .0
+        .unwrap();
+    let (loss, want) = model6().reference_grads(&x, &t, MICRO);
+    assert_eq!(out.loss.to_bits(), loss.to_bits());
+    let bits = |g: &[DenseGrads]| -> Vec<u32> {
+        g.iter()
+            .flat_map(DenseGrads::to_flat)
+            .map(f32::to_bits)
+            .collect()
+    };
+    assert_eq!(bits(&out.grads), bits(&want));
 }
 
 /// Whether `step` on `stage` sends a boundary message (forwards go
@@ -189,6 +211,8 @@ fn skip_policy_drops_the_poisoned_micro_batch() {
     for g in &out.grads {
         assert!(g.to_flat().iter().all(|v| v.is_finite()));
     }
+    // The staging copy is clean again after a skipped micro-batch.
+    assert_clean_step_is_reference(&trainer);
 }
 
 /// `ZeroAndWarn`: non-finite values are replaced and counted, the step
@@ -219,6 +243,7 @@ fn zero_policy_repairs_and_counts() {
     for g in &out.grads {
         assert!(g.to_flat().iter().all(|v| v.is_finite()));
     }
+    assert_clean_step_is_reference(&trainer);
 }
 
 /// Fault injection composes with stage replication: coordinates select

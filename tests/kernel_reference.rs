@@ -5,9 +5,12 @@
 //! forms — must be *bit-identical* to an independent scalar reference
 //! implementing the documented order: one ascending fused
 //! (`f32::mul_add`) chain per output element, starting from `0.0`.
-//! Register tiling, column panels, ragged edges, the AVX-512 fast path
-//! and rayon row-banding are all implementation details that may never
-//! change a single bit.
+//! Register tiling, column panels, ragged edges, the AVX-512 fast path,
+//! `matmul_nt`'s choice of which operand to pack and rayon row-banding
+//! are all implementation details that may never change a single bit.
+//! `matmul_tn_accumulate` must equal storing the reference product,
+//! zeroing its non-finite values and adding it with `+=`, on dirty
+//! accumulators, and must count exactly the non-finite values.
 //!
 //! Thread-count invariance is pinned the same way from two sides: the
 //! properties here cover shapes below and above the parallel work
@@ -69,9 +72,10 @@ fn check_shape(n: usize, k: usize, m: usize, seed: u64) {
     let mut dirty = Tensor::from_vec(n, m, vec![f32::NAN; n * m]);
     a.matmul_into(&b, &mut dirty);
     assert_bits_eq(&dirty, &want, "matmul_into");
-    dirty.data.fill(f32::INFINITY);
-    at.matmul_tn_into(&b, &mut dirty);
-    assert_bits_eq(&dirty, &want, "matmul_tn_into");
+    // Accumulating onto zeros stores: the chains never end in `-0.0`.
+    dirty.data.fill(0.0);
+    assert_eq!(at.matmul_tn_accumulate(&b, &mut dirty), 0);
+    assert_bits_eq(&dirty, &want, "matmul_tn_accumulate onto zeros");
     dirty.data.fill(-1e30);
     a.matmul_nt_into(&bt, &mut dirty);
     assert_bits_eq(&dirty, &want, "matmul_nt_into");
@@ -156,8 +160,113 @@ fn skinny_and_fat_shapes_match_reference() {
     check_shape(1, 512, 257, 5); // single-row activation against a wide layer
 }
 
+/// The scalar model of `matmul_tn_accumulate`: the reference product
+/// `v = at^T · b`, stored, non-finite entries zeroed, then `acc += v`;
+/// returns the expected accumulator and non-finite count.
+fn ref_tn_accumulate(at: &Tensor, b: &Tensor, acc: &Tensor) -> (Tensor, usize) {
+    let v = ref_matmul(&at.transpose(), b);
+    let mut out = acc.clone();
+    let mut bad = 0;
+    for (o, &x) in out.data.iter_mut().zip(&v.data) {
+        let x = if x.is_finite() {
+            x
+        } else {
+            bad += 1;
+            0.0
+        };
+        *o += x;
+    }
+    (out, bad)
+}
+
+/// Finite fill with a sprinkling of NaN and ±Inf operands, so some
+/// products are non-finite and get dropped and counted.
+fn poisoned(salt: u64, seed: u64, len: usize) -> Vec<f32> {
+    let mut v = fill(salt, seed, len);
+    let specials = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY];
+    for (i, x) in v.iter_mut().enumerate() {
+        let h = (i as u64 + salt).wrapping_mul(seed.wrapping_mul(6) + 7919) % 97;
+        if h < 3 {
+            *x = specials[h as usize];
+        }
+    }
+    v
+}
+
+/// A dirty accumulator: finite values mixed with `-0.0`, `±Inf` and NaN.
+fn dirty_acc(rows: usize, cols: usize, seed: u64) -> Tensor {
+    let mut v = fill(9, seed, rows * cols);
+    let specials = [-0.0, f32::INFINITY, f32::NEG_INFINITY, f32::NAN];
+    for (i, x) in v.iter_mut().enumerate() {
+        if i % 5 == 0 {
+            *x = specials[(i / 5) % specials.len()];
+        }
+    }
+    Tensor::from_vec(rows, cols, v)
+}
+
+/// `matmul_tn_accumulate` of `at (k x n)` and `b (k x m)` onto a dirty
+/// accumulator against [`ref_tn_accumulate`].
+fn check_tn_accumulate(n: usize, k: usize, m: usize, seed: u64) {
+    let at = Tensor::from_vec(k, n, poisoned(1, seed, k * n));
+    let b = Tensor::from_vec(k, m, poisoned(2, seed, k * m));
+    let mut acc = dirty_acc(n, m, seed);
+    let (want, want_bad) = ref_tn_accumulate(&at, &b, &acc);
+    let bad = at.matmul_tn_accumulate(&b, &mut acc);
+    assert_bits_eq(&acc, &want, "matmul_tn_accumulate");
+    assert_eq!(bad, want_bad, "non-finite count ({n}x{k}x{m})");
+}
+
+/// Above the parallel work gate the accumulate epilogue runs in every
+/// band and the bands' non-finite counts are summed: same bits and the
+/// same count as the scalar model. (512·16·512 ≈ 4M multiply-adds, the
+/// backward's `dW` shape; the proptest below covers the serial side.)
+#[test]
+fn tn_accumulate_parallel_path_matches_reference() {
+    check_tn_accumulate(512, 16, 512, 3);
+    check_tn_accumulate(264, 33, 264, 8); // ragged band and tile edges
+}
+
+/// `dx = dz·W^T` for every micro-batch row count up to 40 against
+/// weight-shaped right-hand sides, with a dirty transpose scratch and a
+/// dirty output. 512x512 and 1024x256 take the few-row path (pack
+/// `dz^T`, compute `(W·dz^T)^T`) at every row count, on both sides of
+/// the parallel gate; 16x512 flips to packing `W^T` from 16 rows on.
+#[test]
+fn matmul_nt_every_row_count_matches_reference() {
+    for &(m, k) in &[(512usize, 512usize), (1024, 256), (16, 512)] {
+        let w = Tensor::from_vec(m, k, fill(4, 13, m * k));
+        let dz40 = Tensor::from_vec(40, k, fill(5, 13, 40 * k));
+        // Output row r depends on row r of the lhs only, so one 40-row
+        // reference serves every row count.
+        let want40 = ref_matmul(&dz40, &w.transpose());
+        let mut pack = vec![f32::NAN; 7];
+        for n in 1..=40 {
+            let dz = Tensor::from_vec(n, k, dz40.data[..n * k].to_vec());
+            let want = Tensor::from_vec(n, m, want40.data[..n * m].to_vec());
+            let what = format!("matmul_nt {n}x{k} · ({m}x{k})^T");
+            assert_bits_eq(&dz.matmul_nt(&w), &want, &what);
+            let mut out = Tensor::from_vec(n, m, vec![f32::NAN; n * m]);
+            pack.fill(f32::NEG_INFINITY);
+            dz.matmul_nt_into_with(&w, &mut out, &mut pack);
+            assert_bits_eq(&out, &want, &what);
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Ragged shapes below the parallel gate: the accumulate epilogue of
+    /// every tile width and row tail, on dirty accumulators and with
+    /// non-finite products, equals store-then-`+=` bit for bit and
+    /// counts exactly the non-finite values.
+    #[test]
+    fn tn_accumulate_matches_store_then_add(
+        n in 1usize..24, k in 0usize..24, m in 1usize..48, seed in 0u64..1000
+    ) {
+        check_tn_accumulate(n, k, m, seed);
+    }
 
     /// Random ragged shapes: every variant, every `_into` form, bitwise
     /// equal to the scalar canonical order.
